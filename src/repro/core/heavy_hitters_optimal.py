@@ -23,6 +23,16 @@ Structure (paper Section 3.1.2, Algorithm 2):
   repetitions of its bucket's estimate (line 24), and candidates above
   ``(ϕ − ε/2)·s`` are returned (lines 25–26).
 
+State is held in the paper's table form: ``t2`` (repetitions × buckets) and ``t3``
+(repetitions × buckets × epochs) are int64 arrays, and a ``touched`` mask records
+which counters an arrival has reached, which is what the space accounting charges.
+Its randomness lives in three :class:`~repro.primitives.rng.RandomSource` children
+(sampler, per-item coins, batch generator; the hash functions are fixed once drawn),
+so ``copy.deepcopy`` and ``pickle`` copy a few arrays and re-seed those sources (see
+:mod:`repro.primitives.rng`), and :meth:`OptimalListHeavyHitters.merge` is an array
+addition.  :class:`~repro.primitives.accelerated.EpochAcceleratedCounter` is the
+per-counter reference one (repetition, bucket) slice of the tables follows.
+
 The numerical constants in the paper (ℓ = 10⁵ ε⁻², 200 log(12/ϕ) repetitions,
 100/ε buckets, epoch scale 10⁻⁶) are chosen for convenience of the analysis, not for
 practice; they are exposed as constructor parameters with practical defaults (in
@@ -34,7 +44,6 @@ reproduction uses — see :mod:`repro.primitives.accelerated`), and the benchmar
 from __future__ import annotations
 
 import math
-import statistics
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -42,7 +51,14 @@ import numpy as np
 from repro.baselines.misra_gries import MisraGriesTable
 from repro.core.base import FrequencyEstimator
 from repro.core.results import HeavyHittersReport
-from repro.primitives.accelerated import EpochAcceleratedCounter
+from repro.primitives.accelerated import (
+    absorb_given_successes,
+    cells_space_bits,
+    epoch_of,
+    epoch_probabilities,
+    epoch_probability,
+    epochs_of,
+)
 from repro.primitives.batching import aggregate_counts, as_item_array, validate_universe
 from repro.primitives.hashing import UniversalHashFamily, UniversalHashFunction
 from repro.primitives.rng import RandomSource
@@ -119,15 +135,17 @@ class OptimalListHeavyHitters(FrequencyEstimator):
         family = UniversalHashFamily(universe_size, self.num_buckets, rng=rng.spawn(2))
         self.hash_functions: List[UniversalHashFunction] = family.draw_many(self.repetitions)
 
-        # Lines 6-7: T2 / T3 — one epoch-structured accelerated counter per
-        # (repetition, bucket) pair, allocated lazily.
+        # Lines 6-7: the tables T2 and T3 as arrays indexed [repetition, bucket] and
+        # [repetition, bucket, epoch], plus which cells an arrival has touched, so the
+        # space accounting charges exactly the counters the paper allocates.  T3's
+        # epoch axis grows by doubling when a larger epoch first appears.
         self.epoch_scale = epoch_scale
-        self._counter_rng = rng.spawn(3)
-        self.counters: List[Dict[int, EpochAcceleratedCounter]] = [
-            {} for _ in range(self.repetitions)
-        ]
-        # Bulk randomness for the batched ingestion path (vectorized binomial draws
-        # across a whole repetition's buckets); the per-item path never touches it.
+        shape = (self.repetitions, self.num_buckets)
+        self.t2 = np.zeros(shape, dtype=np.int64)
+        self.t3 = np.zeros(shape + (1,), dtype=np.int64)
+        self.touched = np.zeros(shape, dtype=bool)
+        # The per-item path's coins; the batched path draws from its own source.
+        self._item_source = rng.spawn(3)
         self._batch_source = rng.spawn(4)
 
     # -- stream interface ---------------------------------------------------------------
@@ -142,10 +160,19 @@ class OptimalListHeavyHitters(FrequencyEstimator):
         self.sample_size += 1
         # Line 11: Misra–Gries update of the candidate table with the actual id.
         self.t1.update(item)
-        # Lines 12-17: update every repetition's accelerated counter for this id's bucket.
-        for repetition in range(self.repetitions):
-            bucket = self.hash_functions[repetition](item)
-            self._counter_for(repetition, bucket).offer()
+        # Lines 12-17: one accelerated-counter step in every repetition's bucket.
+        coins = self._item_source
+        for repetition, hash_function in enumerate(self.hash_functions):
+            bucket = hash_function(item)
+            self.touched[repetition, bucket] = True
+            # Line 14: with probability eps, increment T2.
+            subsample = int(self.t2[repetition, bucket]) + coins.bernoulli(self.epsilon)
+            self.t2[repetition, bucket] = subsample
+            # Lines 15-17: the arrival's epoch, then its probabilistic T3 increment.
+            epoch = epoch_of(subsample, self.epoch_scale)
+            if epoch >= 0 and coins.bernoulli(epoch_probability(epoch, self.epsilon)):
+                self._reserve_epochs(epoch + 1)
+                self.t3[repetition, bucket, epoch] += 1
 
     def insert_many(self, items: Sequence[int]) -> None:
         """Batched ingestion (statistically equivalent to sequential insertion).
@@ -153,14 +180,17 @@ class OptimalListHeavyHitters(FrequencyEstimator):
         The three batch tricks of the fast path, matched to Algorithm 2's lines:
 
         * line 10 — geometric skip-ahead sampling: RNG work proportional to the number
-          of *sampled* arrivals, not the batch length;
-        * lines 12-13 — per repetition, one vectorized Carter–Wegman pass over the
-          distinct sampled ids followed by a ``bincount`` groups the whole batch by
-          (repetition, bucket);
-        * lines 14-17 — each bucket's accelerated counter absorbs its group with
-          :meth:`~repro.primitives.accelerated.EpochAcceleratedCounter.offer_many`,
-          whose geometric/binomial run decomposition is distributionally identical to
-          per-occurrence offers.  Occurrence order across buckets does not matter: a
+          of *sampled* arrivals, not the batch length (none at all when every arrival
+          is sampled);
+        * lines 12-13 — one vectorized Carter–Wegman pass per repetition over the
+          distinct sampled ids, then one ``bincount`` groups the whole batch by
+          (repetition, bucket) cell;
+        * lines 14-17 — one vectorized binomial draws every cell's number of ``T2``
+          increments.  A cell whose ``T2`` does not move (the common, light case)
+          sees one epoch, so its ``T3`` credit is one more binomial.  The heavy cells
+          absorb their group with :func:`~repro.primitives.accelerated.absorb_given_successes`,
+          one vectorized step per epoch, which has the law of replaying the cell's
+          arrivals one by one.  Occurrence order across cells does not matter: a
           counter's law depends only on its own occurrence count.
 
         ``T1`` receives one weighted Misra–Gries update per distinct sampled id.  RNG
@@ -173,69 +203,64 @@ class OptimalListHeavyHitters(FrequencyEstimator):
             return
         self.items_processed += int(array.size)
         # Line 10: skip-ahead sampling.
-        sampled_indices = self._sampler.accepted_indices(int(array.size))
-        if not sampled_indices:
+        sampled = self._sampler.accepted(array)
+        if sampled.size == 0:
             return
-        sampled = array[sampled_indices]
         self.sample_size += int(sampled.size)
         values, counts = aggregate_counts(sampled)
         # Line 11: one weighted Misra–Gries merge per distinct sampled id.
         self.t1.update_many(values.tolist(), counts.tolist())
-        # Lines 12-17: group by (repetition, bucket), then absorb each bucket's group
-        # with vectorized binomial draws across the whole repetition.
-        weights = counts.astype(np.float64)
+        # Lines 12-13: the (repetition, bucket) cell of every distinct id, grouped.
+        cells = np.empty((self.repetitions, values.size), dtype=np.int64)
+        for repetition, hash_function in enumerate(self.hash_functions):
+            cells[repetition] = hash_function.hash_many(values)
+        cells += np.arange(self.repetitions)[:, None] * self.num_buckets
+        per_cell = np.bincount(
+            cells.ravel(),
+            weights=np.tile(counts.astype(np.float64), self.repetitions),
+            minlength=self.repetitions * self.num_buckets,
+        )
+        occupied = np.flatnonzero(per_cell)
+        occurrences = per_cell[occupied].astype(np.int64)
+        repetitions, buckets = np.divmod(occupied, self.num_buckets)
+        self.touched[repetitions, buckets] = True
         generator = self._batch_source.numpy_generator()
         epsilon, scale = self.epsilon, self.epoch_scale
-        for repetition in range(self.repetitions):
-            buckets = self.hash_functions[repetition].hash_many(values)
-            per_bucket = np.bincount(buckets, weights=weights, minlength=self.num_buckets)
-            occupied = np.nonzero(per_bucket)[0]
-            occurrence_counts = per_bucket[occupied].astype(np.int64)
-            # Counters are allocated for every touched bucket, as the per-item path
-            # does, so the space accounting after a batch matches sequential ingestion.
-            counters = [
-                self._counter_for(repetition, bucket) for bucket in occupied.tolist()
-            ]
-            # Line 14: how many of each bucket's occurrences increment T2 — one
-            # vectorized binomial for the whole repetition.
-            t2_increments = generator.binomial(occurrence_counts, epsilon)
-            # Line 15: each bucket's current epoch and acceptance probability,
-            # vectorized (matches EpochAcceleratedCounter.current_epoch /
-            # increment_probability bit for bit).
-            subsamples = np.fromiter(
-                (counter.subsample_count for counter in counters),
-                dtype=np.int64,
-                count=len(counters),
-            )
-            squared = scale * subsamples.astype(np.float64) ** 2
-            active = squared >= 1.0
-            epochs = np.full(len(counters), -1, dtype=np.int64)
-            epochs[active] = np.floor(np.log2(squared[active])).astype(np.int64)
-            probabilities = np.zeros(len(counters))
-            probabilities[active] = np.minimum(
-                epsilon * np.exp2(epochs[active].astype(np.float64)), 1.0
-            )
-            # Common case (light buckets): T2 does not move, so the epoch is fixed for
-            # the whole group and T3 takes one binomial — vectorized across buckets.
-            fixed_epoch = t2_increments == 0
-            t3_mask = fixed_epoch & active
-            t3_increments = np.zeros(len(counters), dtype=np.int64)
-            if t3_mask.any():
-                t3_increments[t3_mask] = generator.binomial(
-                    occurrence_counts[t3_mask], probabilities[t3_mask]
-                )
-            for index in np.nonzero(t3_increments)[0].tolist():
-                counter = counters[index]
-                epoch = int(epochs[index])
-                counter.epoch_counts[epoch] = counter.epoch_counts.get(epoch, 0) + int(
-                    t3_increments[index]
-                )
-            # Heavy buckets: T2 moves mid-group, so replay the group conditioned on the
-            # drawn number of T2 increments (exact run decomposition).
-            for index in np.nonzero(~fixed_epoch)[0].tolist():
-                counters[index].offer_many_given_successes(
-                    int(occurrence_counts[index]), int(t2_increments[index])
-                )
+        # Line 14: how many of each cell's occurrences increment T2.
+        t2_increments = generator.binomial(occurrences, epsilon)
+        subsamples = self.t2[repetitions, buckets]
+        self._reserve_epochs(int(epochs_of(subsamples + t2_increments, scale).max()) + 1)
+        # Lines 15-17, light cells: T2 stays put, so one epoch and one binomial each.
+        light = np.flatnonzero(t2_increments == 0)
+        epochs = epochs_of(subsamples[light], scale)
+        active = epochs >= 0
+        light, epochs = light[active], epochs[active]
+        self.t3[repetitions[light], buckets[light], epochs] += generator.binomial(
+            occurrences[light], epoch_probabilities(epochs, epsilon)
+        )
+        # Heavy cells: T2 moves mid-group; one vectorized step per epoch crossed.
+        heavy = np.flatnonzero(t2_increments)
+        for epoch, credits in absorb_given_successes(
+            self._batch_source,
+            subsamples[heavy],
+            occurrences[heavy],
+            t2_increments[heavy],
+            epsilon,
+            scale,
+        ):
+            self.t3[repetitions[heavy], buckets[heavy], epoch] += credits
+        self.t2[repetitions, buckets] += t2_increments
+
+    def _reserve_epochs(self, epochs: int) -> None:
+        """Grow T3's epoch axis, by doubling, until it holds epochs ``0 … epochs-1``."""
+        size = self.t3.shape[2]
+        if epochs <= size:
+            return
+        while size < epochs:
+            size *= 2
+        grown = np.zeros(self.t2.shape + (size,), dtype=np.int64)
+        grown[:, :, : self.t3.shape[2]] = self.t3
+        self.t3 = grown
 
     def merge(self, other: "OptimalListHeavyHitters") -> None:
         """Fold another shard's Algorithm 2 state into this one.
@@ -248,11 +273,11 @@ class OptimalListHeavyHitters(FrequencyEstimator):
         * ``T1`` — the Misra–Gries candidate tables merge losslessly
           (:meth:`~repro.baselines.misra_gries.MisraGriesTable.merge`), so every item
           that is ϕ-heavy in the concatenated sample survives as a candidate;
-        * ``T2``/``T3`` — per (repetition, bucket), the accelerated counters combine
-          *additively* (:meth:`~repro.primitives.accelerated.EpochAcceleratedCounter.merge`):
-          the bucket estimate is unbiased for the summed occurrence count, with summed
-          (not inflated) variance — see that method for the expectation/variance
-          caveats;
+        * ``T2``/``T3`` — the tables add cell by cell, and the touched masks OR, which
+          is :meth:`~repro.primitives.accelerated.EpochAcceleratedCounter.merge` for
+          every (repetition, bucket) counter at once: the bucket estimate is unbiased
+          for the summed occurrence count, with summed (not inflated) variance — see
+          that method for the expectation/variance caveats;
         * sample and stream counts add, so the sample-to-stream rescaling factor is the
           combined one.
 
@@ -282,102 +307,12 @@ class OptimalListHeavyHitters(FrequencyEstimator):
                 "(see repro.sharding)"
             )
         self.t1.merge(other.t1)
-        for repetition in range(self.repetitions):
-            mine = self.counters[repetition]
-            for bucket, counter in other.counters[repetition].items():
-                existing = mine.get(bucket)
-                if existing is None:
-                    mine[bucket] = counter
-                else:
-                    existing.merge(counter)
+        self._reserve_epochs(other.t3.shape[2])
+        self.t2 += other.t2
+        self.t3[:, :, : other.t3.shape[2]] += other.t3
+        self.touched |= other.touched
         self.sample_size += other.sample_size
         self.items_processed += other.items_processed
-
-    def _counter_for(self, repetition: int, bucket: int) -> EpochAcceleratedCounter:
-        """The (repetition, bucket) accelerated counter, allocated on first touch."""
-        counter = self.counters[repetition].get(bucket)
-        if counter is None:
-            counter = EpochAcceleratedCounter(
-                epsilon=self.epsilon,
-                rng=self._counter_rng.spawn(repetition * self.num_buckets + bucket),
-                epoch_scale=self.epoch_scale,
-            )
-            self.counters[repetition][bucket] = counter
-        return counter
-
-    # -- pickling -----------------------------------------------------------------------
-    #
-    # The sharded executor ships sketches across process boundaries; a consumed sketch
-    # holds tens of thousands of per-bucket counter objects, so the default pickling
-    # (one object + one dict each) dominates the parallel driver's overhead.  Instead
-    # the counters are packed into a handful of numpy arrays per repetition: bucket
-    # ids, subsample counts, flattened (epoch, count) pairs with offsets, and one
-    # derived RNG seed per counter (RandomSource re-seeds on serialize — see
-    # repro.primitives.rng).  Transport cost is bounded by the summary size.
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        packed = []
-        for per_repetition in self.counters:
-            size = len(per_repetition)
-            buckets = np.fromiter(per_repetition.keys(), dtype=np.int64, count=size)
-            subsamples = np.fromiter(
-                (counter.subsample_count for counter in per_repetition.values()),
-                dtype=np.int64,
-                count=size,
-            )
-            seeds = np.empty(size, dtype=np.int64)
-            epochs_flat: List[int] = []
-            counts_flat: List[int] = []
-            offsets = np.empty(size + 1, dtype=np.int64)
-            offsets[0] = 0
-            for index, counter in enumerate(per_repetition.values()):
-                seed = counter._rng.__getstate__()["seed"]
-                seeds[index] = -1 if seed is None else seed
-                for epoch, count in counter.epoch_counts.items():
-                    epochs_flat.append(epoch)
-                    counts_flat.append(count)
-                offsets[index + 1] = len(epochs_flat)
-            packed.append(
-                (
-                    buckets,
-                    subsamples,
-                    seeds,
-                    np.asarray(epochs_flat, dtype=np.int64),
-                    np.asarray(counts_flat, dtype=np.int64),
-                    offsets,
-                )
-            )
-        state["counters"] = ("packed-v1", packed)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        counters = state.pop("counters")
-        self.__dict__.update(state)
-        if not (isinstance(counters, tuple) and counters[0] == "packed-v1"):
-            self.counters = counters
-            return
-        rebuilt: List[Dict[int, EpochAcceleratedCounter]] = []
-        for buckets, subsamples, seeds, epochs, counts, offsets in counters[1]:
-            per_repetition: Dict[int, EpochAcceleratedCounter] = {}
-            bucket_list = buckets.tolist()
-            subsample_list = subsamples.tolist()
-            seed_list = seeds.tolist()
-            epoch_list = epochs.tolist()
-            count_list = counts.tolist()
-            offset_list = offsets.tolist()
-            for index, bucket in enumerate(bucket_list):
-                counter = EpochAcceleratedCounter.__new__(EpochAcceleratedCounter)
-                counter.epsilon = self.epsilon
-                counter.epoch_scale = self.epoch_scale
-                counter.subsample_count = subsample_list[index]
-                begin, end = offset_list[index], offset_list[index + 1]
-                counter.epoch_counts = dict(zip(epoch_list[begin:end], count_list[begin:end]))
-                seed = seed_list[index]
-                counter._rng = RandomSource(None if seed < 0 else seed)
-                per_repetition[bucket] = counter
-            rebuilt.append(per_repetition)
-        self.counters = rebuilt
 
     # -- queries ------------------------------------------------------------------------
 
@@ -386,26 +321,28 @@ class OptimalListHeavyHitters(FrequencyEstimator):
             return 0.0
         return self.items_processed / self.sample_size
 
-    def _sampled_estimate(self, item: int) -> float:
-        """Median over repetitions of the item's bucket estimate (Algorithm 2 line 24)."""
-        estimates = []
-        for repetition in range(self.repetitions):
-            bucket = self.hash_functions[repetition](item)
-            counter = self.counters[repetition].get(bucket)
-            estimates.append(counter.estimate() if counter is not None else 0.0)
-        return float(statistics.median(estimates))
+    def _sampled_estimates(self, items: Sequence[int]) -> np.ndarray:
+        """Lines 23-24 for each item: the median over repetitions of its bucket's
+        ``Σ_t T3[j, i, t] / min(ε·2ᵗ, 1)``."""
+        array = np.asarray(items, dtype=np.int64)
+        buckets = np.stack([h.hash_many(array) for h in self.hash_functions])
+        cells = self.t3[np.arange(self.repetitions)[:, None], buckets]
+        probabilities = epoch_probabilities(np.arange(self.t3.shape[2]), self.epsilon)
+        return np.median((cells / probabilities).sum(axis=-1), axis=0)
 
     def estimate(self, item: int) -> float:
         """Estimated absolute frequency of ``item`` in the stream seen so far."""
-        return self._sampled_estimate(item) * self._scale()
+        return float(self._sampled_estimates([item])[0]) * self._scale()
 
     def report(self) -> HeavyHittersReport:
         """Lines 20-27: estimate every candidate, keep those above (ϕ − ε/2)·m."""
         threshold = (self.phi - self.epsilon / 2.0) * self.items_processed
         scale = self._scale()
+        candidates = list(self.t1.counters)
         items: Dict[int, float] = {}
-        for candidate in self.t1.counters:
-            estimated = self._sampled_estimate(candidate) * scale
+        estimates = self._sampled_estimates(candidates).tolist()
+        for candidate, sampled_estimate in zip(candidates, estimates):
+            estimated = sampled_estimate * scale
             if estimated > threshold:
                 items[candidate] = estimated
         return HeavyHittersReport(
@@ -429,9 +366,7 @@ class OptimalListHeavyHitters(FrequencyEstimator):
             "hash_functions",
             sum(h.description_bits() for h in self.hash_functions),
         )
-        # T2/T3: the accelerated counters — the eps^-1 log phi^-1 term.
-        counter_bits = 0
-        for repetition in range(self.repetitions):
-            for counter in self.counters[repetition].values():
-                counter_bits += counter.space_bits()
-        self.space.set_component("T2_T3", counter_bits)
+        # T2/T3: the touched accelerated counters — the eps^-1 log phi^-1 term.
+        self.space.set_component(
+            "T2_T3", cells_space_bits(self.t2[self.touched], self.t3[self.touched])
+        )

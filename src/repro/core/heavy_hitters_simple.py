@@ -137,10 +137,9 @@ class SimpleListHeavyHitters(FrequencyEstimator):
             return
         self.items_processed += int(array.size)
         # Line 8: skip-ahead sampling.
-        sampled_indices = self._sampler.accepted_indices(int(array.size))
-        if not sampled_indices:
+        sampled = self._sampler.accepted(array)
+        if sampled.size == 0:
             return
-        sampled = array[sampled_indices]
         self.sample_size += int(sampled.size)
         # Pre-aggregate in first-occurrence order (T2 displacement is order-sensitive).
         values, first_positions, counts = np.unique(

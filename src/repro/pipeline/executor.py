@@ -45,10 +45,12 @@ class SinkState:
     :class:`~repro.service.Checkpointer` pickles exactly this object (plus a config
     manifest) to disk.
 
-    Note the randomness caveat: the capture deep-copies the sketches, and a
-    :class:`~repro.primitives.rng.RandomSource` deep-copies (and pickles) as a
-    deterministically *re-seeded* sibling — see :mod:`repro.primitives.rng`.  A
-    resumed run is therefore bit-for-bit reproducible (capturing the same state
+    The capture deep-copies the sketches.  Their counts copy exactly — for
+    Algorithm 2 that is a few numpy arrays (the ``t2``/``t3`` tables and the
+    touched mask) next to its Misra–Gries table — while each of a sketch's few
+    :class:`~repro.primitives.rng.RandomSource` objects deep-copies (and pickles)
+    as a deterministically *re-seeded* sibling — see :mod:`repro.primitives.rng`.
+    A resumed run is therefore bit-for-bit reproducible (capturing the same state
     twice yields identical resumptions) but does not replay the uninterrupted
     original's future random draws; deterministic sketches (Misra–Gries and
     friends) resume bit-for-bit identical to the uninterrupted run as well.

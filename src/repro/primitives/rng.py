@@ -36,9 +36,9 @@ class RandomSource:
 
     @property
     def _rng(self) -> random.Random:
-        # Seeding a Mersenne Twister costs ~15us; structures that spawn one source per
-        # component (e.g. one per accelerated counter) create thousands that the batched
-        # ingestion path never draws from, so the generator is built on first use.
+        # Seeding a Mersenne Twister costs ~15us, and many sources are never drawn
+        # from (e.g. a sketch's per-item coin source when it only ingests batches),
+        # so the generator is built on first use.
         generator = self._random
         if generator is None:
             generator = self._random = random.Random(self._seed)
@@ -52,9 +52,9 @@ class RandomSource:
     # -- pickling ----------------------------------------------------------------
     #
     # A RandomSource pickles as a fresh *seed*, not as the full generator state: an
-    # initialized Mersenne Twister weighs ~2.5 KB, and structures like Algorithm 2
-    # hold tens of thousands of sources, which would make shipping a sketch to a
-    # worker process (repro.sharding's parallel driver) cost tens of megabytes.
+    # initialized Mersenne Twister weighs ~2.5 KB, which would outweigh a small
+    # sketch shipped to a worker process (repro.sharding's parallel driver) or
+    # written to a checkpoint.
     # The copy's seed is derived by hashing the generator's current state — a pure
     # read, so serialization never perturbs the source object: pickling the same
     # source twice yields identical bytes, and the original's future draws are

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Generic, Iterable, List, Optional, Sequence, TypeVar
 
+import numpy as np
+
 from repro.primitives.rng import RandomSource
 from repro.primitives.space import bits_for_value
 
@@ -103,6 +105,17 @@ class CoinFlipSampler:
             indices.append(position)
             position += 1
         return indices
+
+    def accepted(self, batch: np.ndarray) -> np.ndarray:
+        """The accepted items of ``batch`` (the next ``len(batch)`` arrivals).
+
+        Selects :meth:`accepted_indices` from the array, with the same RNG
+        consumption.  With probability 1 every arrival is accepted, so the batch
+        itself is returned: no index list is built and nothing is copied.
+        """
+        if self.num_coins == 0:
+            return batch
+        return batch[self.accepted_indices(len(batch))]
 
     def space_bits(self) -> int:
         """Bits of state kept between items: the counter length ``k``."""

@@ -1,9 +1,17 @@
 """Tests for Algorithm 2 (OptimalListHeavyHitters, Theorem 2)."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.heavy_hitters_optimal import OptimalListHeavyHitters
+from repro.pipeline import PipelinedExecutor
+from repro.primitives.accelerated import EpochAcceleratedCounter
 from repro.primitives.rng import RandomSource
+from repro.service import CHECKPOINT_FORMAT, Checkpointer
+from repro.sharding import share_hash_functions
 from repro.streams.generators import (
     adversarial_block_stream,
     planted_heavy_hitters_stream,
@@ -144,3 +152,117 @@ class TestSpaceAccounting:
         coarse = make_algo(0.001, 0.5, 100, 1000, seed=19)
         fine = make_algo(0.001, 0.5 / 64, 100, 1000, seed=19)
         assert fine.repetitions > coarse.repetitions
+
+
+def _zipf_items(length, seed, universe=3000):
+    return np.asarray(zipfian_stream(length, universe, skew=1.3, rng=RandomSource(seed)).items)
+
+
+def _state(algo):
+    """Everything a query reads: the report's items and the space accounting."""
+    return dict(algo.report().items), algo.space_bits()
+
+
+class TestArrayState:
+    """T2/T3 live in arrays, so copies, pickles and merges are array operations."""
+
+    def _ingested(self, seed=4, length=20000):
+        algo = make_algo(0.05, 0.2, 3000, 2 * length, seed=seed)
+        algo.insert_many(_zipf_items(length, seed))
+        return algo
+
+    def test_pickle_and_deepcopy_preserve_report_and_space(self):
+        algo = self._ingested()
+        for clone in (pickle.loads(pickle.dumps(algo)), copy.deepcopy(algo)):
+            assert _state(clone) == _state(algo)
+            assert np.array_equal(clone.t3, algo.t3)
+
+    def test_deepcopy_is_independent_of_the_original(self):
+        algo = self._ingested()
+        before = _state(algo)
+        clone = copy.deepcopy(algo)
+        clone.insert_many(_zipf_items(5000, 11))
+        assert _state(algo) == before
+        algo.insert_many(_zipf_items(5000, 12))
+        assert _state(clone) != _state(algo)
+        clone_state = _state(clone)
+        algo.insert_many(_zipf_items(5000, 13))
+        assert _state(clone) == clone_state
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_space_bits_equals_the_reference_counters(self, batched):
+        algo = make_algo(0.05, 0.2, 3000, 40000, seed=5)
+        items = _zipf_items(3000, 5)
+        if batched:
+            algo.insert_many(items)
+        else:
+            for item in items.tolist():
+                algo.insert(item)
+        algo.space_bits()
+        total = 0
+        for repetition, bucket in zip(*np.nonzero(algo.touched)):
+            counter = EpochAcceleratedCounter(algo.epsilon, epoch_scale=algo.epoch_scale)
+            counter.subsample_count = int(algo.t2[repetition, bucket])
+            counter.epoch_counts = {
+                epoch: int(count)
+                for epoch, count in enumerate(algo.t3[repetition, bucket])
+                if count
+            }
+            total += counter.space_bits()
+        # Touched buckets whose T2 never moved still cost their one bit.
+        assert (algo.t2[algo.touched] == 0).sum() > 0
+        assert not algo.t2[~algo.touched].any() and not algo.t3[~algo.touched].any()
+        assert algo.space_breakdown()["T2_T3"] == total
+
+    def test_merge_does_not_alias_the_other_sketch(self):
+        a = make_algo(0.05, 0.2, 3000, 40000, seed=6)
+        other = make_algo(0.05, 0.2, 3000, 40000, seed=7)
+        share_hash_functions([a, other])
+        a.insert_many(_zipf_items(8000, 6))
+        other.insert_many(_zipf_items(8000, 7))
+        a.merge(other)
+        merged = _state(a)
+        other.insert_many(_zipf_items(8000, 8))
+        for item in _zipf_items(500, 9).tolist():
+            other.insert(item)
+        assert _state(a) == merged
+
+    def test_merge_adds_the_tables(self):
+        a = make_algo(0.05, 0.2, 3000, 40000, seed=6)
+        other = make_algo(0.05, 0.2, 3000, 40000, seed=7)
+        share_hash_functions([a, other])
+        a.insert_many(_zipf_items(8000, 6))
+        other.insert_many(_zipf_items(30000, 7))
+        t2, touched = a.t2 + other.t2, a.touched | other.touched
+        epochs = max(a.t3.shape[2], other.t3.shape[2])
+        t3 = np.zeros(a.t2.shape + (epochs,), dtype=np.int64)
+        t3[:, :, : a.t3.shape[2]] += a.t3
+        t3[:, :, : other.t3.shape[2]] += other.t3
+        a.merge(other)
+        assert np.array_equal(a.t2, t2) and np.array_equal(a.touched, touched)
+        assert np.array_equal(a.t3[:, :, :epochs], t3) and not a.t3[:, :, epochs:].any()
+
+    def test_format3_checkpoint_restores_and_resumes(self, tmp_path):
+        items = _zipf_items(40000, 10)
+        chunk = 4096
+
+        def resumed_report():
+            executor = PipelinedExecutor(
+                sketch=make_algo(0.05, 0.2, 3000, items.size, seed=10), chunk_size=chunk
+            )
+            for start in range(0, 5 * chunk, chunk):
+                executor.ingest_chunk(items[start:start + chunk])
+            capture = executor.sink_state()
+            path = str(tmp_path / "thm2.ckpt")
+            manifest = Checkpointer().save(path, capture)
+            assert manifest["format"] == CHECKPOINT_FORMAT == 3
+            restored, _ = Checkpointer().restore_pipeline(path, chunk_size=chunk)
+            assert _state(restored.sketch) == _state(capture.sketches[0])
+            for start in range(5 * chunk, items.size, chunk):
+                restored.ingest_chunk(items[start:start + chunk])
+            return restored.finalize().report
+
+        first, second = resumed_report(), resumed_report()
+        assert first.stream_length == items.size
+        assert first.items == second.items
+        assert first.satisfies_definition(exact_frequencies(items.tolist()))

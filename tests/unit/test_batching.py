@@ -65,6 +65,21 @@ class TestSkipAheadSampler:
         assert sampler.next_accepted(10) == 0
         assert sampler.accepted_indices(5) == [0, 1, 2, 3, 4]
 
+    def test_probability_one_returns_the_batch_itself(self):
+        sampler = CoinFlipSampler(1.0, rng=RandomSource(1))
+        batch = np.arange(65_536, dtype=np.int64)
+        assert sampler.accepted(batch) is batch
+
+    @pytest.mark.parametrize("probability", [1.0, 1 / 4])
+    def test_accepted_selects_accepted_indices_with_the_same_draws(self, probability):
+        by_array = CoinFlipSampler(probability, rng=RandomSource(9))
+        by_index = CoinFlipSampler(probability, rng=RandomSource(9))
+        batch = np.arange(1000, 2000, dtype=np.int64)
+        for _ in range(3):
+            expected = batch[by_index.accepted_indices(batch.size)]
+            assert np.array_equal(by_array.accepted(batch), expected)
+        assert by_array._rng.random() == by_index._rng.random()
+
     def test_empty_batch(self):
         sampler = CoinFlipSampler(0.5, rng=RandomSource(1))
         assert sampler.next_accepted(0) is None
