@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.base import FrequencyEstimator
 from repro.core.results import HeavyHittersReport
 from repro.primitives.batching import aggregate_counts, as_item_array, validate_universe
@@ -57,50 +59,46 @@ class MisraGriesTable:
             self.counters[key] = remainder
 
     def update_many(self, keys: Sequence[int], weights: Sequence[int]) -> None:
-        """Apply one weighted update per distinct key (the batched merge).
+        """Fold a batch's exact summary into the table (the mergeable-summaries combine).
 
-        The classic merge-and-decrement is applied once per ``(key, weight)`` pair
-        instead of once per arrival.  The Misra–Gries invariant — every counter
-        undercounts by at most ``total weight / num_counters`` — holds for weighted
-        updates exactly as for unit ones, so the εm guarantee is preserved; the
-        *content* of the table can differ from sequential insertion (decrements land in
-        different places), which is why batch ingestion through this path is
-        statistically rather than bitwise equivalent.
+        Adds each weight to its key's counter (keys may repeat), then, if more than
+        ``num_counters`` keys remain, subtracts the ``(num_counters + 1)``-th largest
+        count from every counter and drops the non-positive ones [ACHPWY12].  Each
+        subtraction removes ``num_counters + 1`` times itself from the total count, so
+        every undercount stays at most ``total weight / (num_counters + 1)``.  One
+        decrement per batch, not per new key, is why batched ingestion is statistically
+        rather than bitwise equivalent to per-arrival :meth:`update`.
         """
-        counters = self.counters
-        for key, weight in zip(keys, weights):
-            if key in counters:
-                counters[key] += weight
-            else:
-                self.update(key, weight)
+        size = len(self.counters)
+        keys = np.concatenate((np.fromiter(self.counters, np.int64, size), np.asarray(keys, np.int64)))
+        weights = np.concatenate(
+            (np.fromiter(self.counters.values(), np.int64, size), np.asarray(weights, np.int64))
+        )
+        if weights.size and int(weights.min()) <= 0:
+            raise ValueError("weight must be positive")
+        keys, slots = np.unique(keys, return_inverse=True)
+        counts = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(counts, slots, weights)
+        excess = counts.size - self.num_counters
+        if excess > 0:
+            cutoff = np.partition(counts, excess - 1)[excess - 1]  # (k+1)-th largest
+            kept = counts > cutoff
+            keys, counts = keys[kept], counts[kept] - cutoff
+            self.total_decrements += int(cutoff)
+        self.counters = dict(zip(keys.tolist(), counts.tolist()))
 
     def merge(self, other: "MisraGriesTable") -> None:
-        """Fold another Misra–Gries summary into this one (mergeable-summaries combine).
-
-        The classic ACHPWY-style merge: add the two counter sets, then, if more than
-        ``num_counters`` keys survive, subtract the ``(num_counters + 1)``-st largest
-        counter value from every counter and drop the non-positive ones.  Each counter's
-        undercount is at most the sum of the two inputs' undercount bounds plus the
-        subtracted value, which keeps the total undercount at most
-        ``(m₁ + m₂) / num_counters`` — the εm guarantee is preserved for the
-        concatenated stream, which is what makes hash-sharded ingestion sound.
+        """Fold another Misra–Gries summary into this one: :meth:`update_many` of its
+        counters.  The undercounts of the two inputs add, so the εm guarantee holds for
+        the concatenated stream, which is what makes hash-sharded ingestion sound.
         """
         if other.num_counters != self.num_counters:
             raise ValueError(
                 "cannot merge Misra-Gries tables of different capacities "
                 f"({self.num_counters} vs {other.num_counters})"
             )
-        counters = self.counters
-        for key, count in other.counters.items():
-            counters[key] = counters.get(key, 0) + count
         self.total_decrements += other.total_decrements
-        if len(counters) > self.num_counters:
-            ordered = sorted(counters.values(), reverse=True)
-            cutoff = ordered[self.num_counters]
-            self.total_decrements += cutoff
-            self.counters = {
-                key: count - cutoff for key, count in counters.items() if count > cutoff
-            }
+        self.update_many(list(other.counters), list(other.counters.values()))
 
     def get(self, key: int) -> int:
         """The (under-)estimate of ``key``'s frequency stored in the table."""
@@ -152,17 +150,16 @@ class MisraGries(FrequencyEstimator):
         self.table.update(item)
 
     def insert_many(self, items: Sequence[int]) -> None:
-        """Batched ingestion: pre-aggregate the batch, then merge once per distinct id.
+        """Batched ingestion: aggregate the batch exactly, then merge it in once.
 
-        Statistically equivalent to sequential insertion (the deterministic εm
-        undercount guarantee holds verbatim for weighted updates); the table content
-        may differ because decrements are applied per distinct id, not per arrival.
+        Statistically equivalent to sequential insertion: the deterministic εm
+        undercount guarantee holds (see :meth:`MisraGriesTable.update_many`), but the
+        batch is decremented once, not once per arrival.
         """
         array = as_item_array(items)
         validate_universe(array, self.universe_size)
         self.items_processed += int(array.size)
-        values, counts = aggregate_counts(array)
-        self.table.update_many(values.tolist(), counts.tolist())
+        self.table.update_many(*aggregate_counts(array))
 
     def merge(self, other: "MisraGries") -> None:
         """Fold another shard's summary into this one (lossless mergeable combine).

@@ -40,8 +40,8 @@ Every override preserves three invariants:
 
 What an override may change is the RNG *consumption order* (a geometric skip draws one
 uniform where m coin flips drew m) and, for the deterministic counter sketches, the
-tie-breaking order of evictions (a pre-aggregated Misra–Gries decrement is applied once
-per distinct id rather than interleaved).  Each override documents whether it is
+tie-breaking order of evictions (a Misra–Gries batch is merged in with one decrement
+rather than one per arrival).  Each override documents whether it is
 **exactly** equal to sequential insertion or **statistically** equivalent (same output
 distribution, identical guarantees).  The default loop implementation is always exact.
 """

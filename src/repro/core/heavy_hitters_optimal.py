@@ -193,9 +193,11 @@ class OptimalListHeavyHitters(FrequencyEstimator):
           arrivals one by one.  Occurrence order across cells does not matter: a
           counter's law depends only on its own occurrence count.
 
-        ``T1`` receives one weighted Misra–Gries update per distinct sampled id.  RNG
-        consumption order differs from the per-item path (same seed diverges bit-wise);
-        estimator, (ε, ϕ) guarantee and space accounting are identical.
+        ``T1`` (line 11) absorbs the batch's exact ``(id, count)`` summary with one
+        Misra–Gries batch merge (:meth:`~repro.baselines.misra_gries.MisraGriesTable.update_many`).
+        RNG consumption order and Misra–Gries decrements differ from the per-item path
+        (same seed diverges bit-wise); estimator, (ε, ϕ) guarantee and space
+        accounting are identical.
         """
         array = as_item_array(items)
         validate_universe(array, self.universe_size)
@@ -208,8 +210,8 @@ class OptimalListHeavyHitters(FrequencyEstimator):
             return
         self.sample_size += int(sampled.size)
         values, counts = aggregate_counts(sampled)
-        # Line 11: one weighted Misra–Gries merge per distinct sampled id.
-        self.t1.update_many(values.tolist(), counts.tolist())
+        # Line 11: one Misra–Gries batch merge of the sampled ids.
+        self.t1.update_many(values, counts)
         # Lines 12-13: the (repetition, bucket) cell of every distinct id, grouped.
         cells = np.empty((self.repetitions, values.size), dtype=np.int64)
         for repetition, hash_function in enumerate(self.hash_functions):

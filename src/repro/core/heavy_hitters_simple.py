@@ -32,7 +32,7 @@ import numpy as np
 from repro.baselines.misra_gries import MisraGriesTable
 from repro.core.base import FrequencyEstimator
 from repro.core.results import HeavyHittersReport, MaximumResult
-from repro.primitives.batching import as_item_array, validate_universe
+from repro.primitives.batching import aggregate_counts, as_item_array, validate_universe
 from repro.primitives.hashing import UniversalHashFamily, UniversalHashFunction
 from repro.primitives.rng import RandomSource
 from repro.primitives.sampling import CoinFlipSampler
@@ -110,8 +110,13 @@ class SimpleListHeavyHitters(FrequencyEstimator):
         hashed = self.hash_function(item)
         # Line 9: Misra–Gries update on the hashed id.
         self.t1.update(hashed)
-        # Lines 10-16: keep T2 consistent with the top-1/phi hashed keys of T1.
-        self._synchronize_id_table(hashed, item)
+        # Lines 10-16: keep T2 the ids of the top-1/phi hashed keys of T1.  A tracked
+        # hash was only incremented (Misra–Gries decrements only for a new key), so
+        # it stays in the top.
+        if hashed in self.t2:
+            self.t2[hashed] = item
+        else:
+            self._keep_top_ids({**self.t2, hashed: item})
 
     def insert_many(self, items: Sequence[int]) -> None:
         """Batched ingestion (statistically equivalent to sequential insertion).
@@ -123,13 +128,14 @@ class SimpleListHeavyHitters(FrequencyEstimator):
         * line 9 — the sampled ids are pre-aggregated and hashed *per distinct id* with
           one vectorized Carter–Wegman pass (the id-hash prime is huge, so hashing
           distinct ids with multiplicities is what keeps the big-int work small), and
-          ``T1`` receives one weighted Misra–Gries update per distinct id;
-        * lines 10-16 — the ``T2`` id side-table is synchronized once per distinct
-          sampled id, in first-occurrence order.
+          ``T1`` absorbs them with one Misra–Gries batch merge;
+        * lines 10-16 — the ``T2`` id side-table is synchronized once per batch, to the
+          top ``id_table_capacity`` of (old ``T2`` ∪ the batch's hashed ids) by ``T1``
+          count: the rule :meth:`insert` and :meth:`merge` apply.
 
-        RNG consumption order and Misra–Gries decrement interleaving differ from the
-        per-item path, so runs with the same seed diverge bit-wise; the estimator, the
-        (ε, ϕ) guarantee and the space accounting are identical.
+        RNG consumption order and Misra–Gries decrements differ from the per-item path,
+        so runs with the same seed diverge bit-wise; the estimator, the (ε, ϕ)
+        guarantee and the space accounting are identical.
         """
         array = as_item_array(items)
         validate_universe(array, self.universe_size)
@@ -141,43 +147,17 @@ class SimpleListHeavyHitters(FrequencyEstimator):
         if sampled.size == 0:
             return
         self.sample_size += int(sampled.size)
-        # Pre-aggregate in first-occurrence order (T2 displacement is order-sensitive).
-        values, first_positions, counts = np.unique(
-            sampled, return_index=True, return_counts=True
-        )
-        order = np.argsort(first_positions, kind="stable")
-        values, counts = values[order], counts[order]
-        # Line 9: one vectorized hash pass over the distinct sampled ids.
-        hashed_values = self.hash_function.hash_many(values)
-        for item, hashed, count in zip(
-            values.tolist(), hashed_values.tolist(), counts.tolist()
-        ):
-            self.t1.update(hashed, count)
-            self._synchronize_id_table(hashed, item)
-
-    def _synchronize_id_table(self, hashed: int, item: int) -> None:
-        """Maintain T2 = actual ids of the highest-valued hashed keys in T1.
-
-        This follows the paper's incremental case analysis (lines 10-16 of Algorithm 1):
-        when the just-updated hash is already tracked nothing changes; when it is not,
-        it displaces the currently lowest-valued tracked id if its counter is now
-        higher.  The cost is O(1/phi) per *sampled* item, which the paper spreads over
-        the next O(1/eps) arrivals to get O(1) worst-case update time.
-        """
-        if hashed in self.t2:
-            self.t2[hashed] = item
-            return
-        current_value = self.t1.get(hashed)
-        if current_value == 0:
-            return
-        if len(self.t2) < self.id_table_capacity:
-            self.t2[hashed] = item
-            return
-        # Case 2 of the paper: the new hash may have overtaken the weakest tracked one.
-        weakest_hash = min(self.t2, key=lambda stored: (self.t1.get(stored), stored))
-        if self.t1.get(weakest_hash) < current_value:
-            del self.t2[weakest_hash]
-            self.t2[hashed] = item
+        values, counts = aggregate_counts(sampled)
+        # Line 9: one vectorized hash pass over the distinct sampled ids, one merge.
+        hashed = self.hash_function.hash_many(values)
+        self.t1.update_many(hashed, counts)
+        # Lines 10-16: only batch ids still in T1 can enter T2 (on a hash collision
+        # the largest id wins).
+        stored = np.fromiter(self.t1.counters, dtype=np.int64, count=len(self.t1))
+        fresh = np.isin(hashed, stored)
+        candidates = dict(self.t2)
+        candidates.update(zip(hashed[fresh].tolist(), values[fresh].tolist()))
+        self._keep_top_ids(candidates)
 
     def merge(self, other: "SimpleListHeavyHitters") -> None:
         """Fold another shard's Algorithm 1 state into this one.
@@ -186,8 +166,8 @@ class SimpleListHeavyHitters(FrequencyEstimator):
         executor arranges this), so hashed ids are comparable across instances.  ``T1``
         (Misra–Gries over hashed ids) merges losslessly; the merged ``T2`` id
         side-table keeps the actual ids of the highest-valued hashed keys of the
-        merged ``T1``, which is exactly the invariant the incremental case analysis of
-        lines 10-16 maintains; sample and stream counts add.
+        merged ``T1``, the invariant every update maintains; sample and stream
+        counts add.
         """
         if not isinstance(other, SimpleListHeavyHitters):
             raise TypeError(
@@ -213,17 +193,24 @@ class SimpleListHeavyHitters(FrequencyEstimator):
         self.t1.merge(other.t1)
         combined = dict(other.t2)
         combined.update(self.t2)  # on collision both map hash -> some occurrence's id
-        survivors = sorted(
-            (
-                (hashed, item)
-                for hashed, item in combined.items()
-                if self.t1.get(hashed) > 0
-            ),
-            key=lambda pair: (-self.t1.get(pair[0]), pair[0]),
-        )
-        self.t2 = dict(survivors[: self.id_table_capacity])
+        self._keep_top_ids(combined)
         self.sample_size += other.sample_size
         self.items_processed += other.items_processed
+
+    def _keep_top_ids(self, candidates: Dict[int, int]) -> None:
+        """Lines 10-16: set T2 to the ``id_table_capacity`` candidates with the largest
+        T1 counts (ties by hashed id; a hash that left T1 is dropped).
+
+        ``candidates`` maps hashed id -> actual id: the old T2 plus every hash T1 just
+        incremented.  That is enough to keep T2 the top of all of T1, because a
+        Misra–Gries decrement lowers every counter by the same amount.  The cost is
+        O(1/phi log 1/phi) per sampled arrival of an untracked hash, or per batch;
+        the paper spreads the same O(1/phi) work over the next O(1/eps) arrivals to
+        get O(1) worst-case update time.
+        """
+        counters = self.t1.counters
+        ranked = sorted((-counters[hashed], hashed) for hashed in candidates if hashed in counters)
+        self.t2 = {hashed: candidates[hashed] for _, hashed in ranked[: self.id_table_capacity]}
 
     # -- queries ------------------------------------------------------------------------
 

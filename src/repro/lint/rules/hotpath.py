@@ -14,8 +14,10 @@ regressions PR 5 explicitly engineered out:
 * bytes-copying idioms: ``b"".join(...)`` and ``bytes(memoryview(...))`` (the
   ``recv_into``/``sendmsg`` framing exists to avoid the glue copy).
 
-A loop that is genuinely per-*distinct*-item (e.g. over ``np.unique`` output)
-iterates a derived local, not the parameter, and is not flagged.
+A loop over a derived local (e.g. over ``np.unique`` output) is not flagged,
+but it still costs one Python step per distinct id.  Misra–Gries and ``T1`` of
+both paper algorithms avoid it: ``MisraGriesTable.update_many`` merges the whole
+batch summary into the at most k table entries in one array step.
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ import os
 import shutil
 import tempfile
 import threading
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -93,8 +94,7 @@ class _StreamState:
     __slots__ = (
         "name", "sink", "remainder", "items_received", "items_processed",
         "chunks", "sealed", "seal_kwargs", "result", "spilled", "spill_path",
-        "evictions", "restores", "eviction_boundaries", "last_used",
-        "wal", "wal_dir",
+        "evictions", "restores", "eviction_boundaries", "wal", "wal_dir",
     )
 
     def __init__(self, name: str, sink: Any, spill_path: str) -> None:
@@ -112,7 +112,6 @@ class _StreamState:
         self.evictions = 0
         self.restores = 0
         self.eviction_boundaries: List[int] = []
-        self.last_used = 0
         self.wal = None  # WriteAheadLog | None when the registry journals
         self.wal_dir: Optional[str] = None
 
@@ -168,7 +167,10 @@ class StreamRegistry:
         self._checkpointer = Checkpointer(registry=self._metrics)
         self._lock = threading.Lock()
         self._streams: Dict[str, _StreamState] = {}
-        self._clock = 0
+        # The streams with a resident, unsealed sink, least recently used first:
+        # its length is the live count and its head the next eviction victim, so
+        # neither needs a scan over every stream.
+        self._live: "OrderedDict[str, _StreamState]" = OrderedDict()
         self._closed = False
         # Per-stream durability: with a wal_dir, each named stream gets its own
         # journal under {wal_dir}/stream-{digest}/ (plus a meta.json mapping
@@ -234,13 +236,7 @@ class StreamRegistry:
     def live_count(self) -> int:
         """Named streams with a resident, unsealed sink."""
         with self._lock:
-            return self._locked_live_count()
-
-    def _locked_live_count(self) -> int:
-        return sum(
-            1 for state in self._streams.values()
-            if state.sink is not None and not state.sealed
-        )
+            return len(self._live)
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -283,8 +279,9 @@ class StreamRegistry:
             state.sealed = True
             state.seal_kwargs = kwargs
             state.sink = None  # the merge consumed it; the result stands
+            del self._live[name]
             self._locked_remove_spill(state)
-            self._metric_live.set(self._locked_live_count())
+            self._metric_live.set(len(self._live))
             return state.result
 
     def delete(self, name: str) -> Dict[str, object]:
@@ -305,7 +302,8 @@ class StreamRegistry:
             if state.wal_dir is not None:
                 shutil.rmtree(state.wal_dir, ignore_errors=True)
             del self._streams[name]
-            self._metric_live.set(self._locked_live_count())
+            self._live.pop(name, None)
+            self._metric_live.set(len(self._live))
             info["deleted"] = True
             return info
 
@@ -319,6 +317,7 @@ class StreamRegistry:
                 if state.wal is not None:
                     state.wal.close()
             self._streams.clear()
+            self._live.clear()
             if self._owns_spill_dir:
                 shutil.rmtree(self._spill_dir, ignore_errors=True)
 
@@ -491,7 +490,7 @@ class StreamRegistry:
         self._streams[name] = state
         self._locked_touch(state)
         self._locked_evict_to_cap(protect=state)
-        self._metric_live.set(self._locked_live_count())
+        self._metric_live.set(len(self._live))
         return state
 
     def _locked_create_journaled(self, name: str, digest: str) -> _StreamState:
@@ -572,16 +571,16 @@ class StreamRegistry:
             )
             self._locked_touch(state)
             self._locked_evict_to_cap(protect=state)
-        self._metric_live.set(self._locked_live_count())
+        self._metric_live.set(len(self._live))
 
     def _locked_touch(self, state: _StreamState) -> None:
-        self._clock += 1
-        state.last_used = self._clock
+        """Mark a stream with a resident sink as the most recently used one."""
+        self._live[state.name] = state
+        self._live.move_to_end(state.name)
 
     def _locked_ensure_live(self, state: _StreamState) -> None:
-        """Restore a spilled sink if needed, update LRU, enforce the cap."""
-        self._locked_touch(state)
-        if state.sink is None and not state.sealed:
+        """Restore an unsealed stream's spilled sink if needed, update LRU, enforce the cap."""
+        if state.sink is None:
             sink, _ = self._checkpointer.restore_pipeline(
                 state.spill_path,
                 chunk_size=self._chunk_size,
@@ -592,22 +591,16 @@ class StreamRegistry:
             state.spilled = False
             state.restores += 1
             self._metric_restores.labels(stream=state.name).inc()
+        self._locked_touch(state)
         self._locked_evict_to_cap(protect=state)
-        self._metric_live.set(self._locked_live_count())
+        self._metric_live.set(len(self._live))
 
     def _locked_evict_to_cap(self, protect: _StreamState) -> None:
         if self._max_live is None:
             return
-        while self._locked_live_count() > self._max_live:
-            victim = min(
-                (
-                    state for state in self._streams.values()
-                    if state.sink is not None
-                    and not state.sealed
-                    and state is not protect
-                ),
-                key=lambda state: state.last_used,
-                default=None,
+        while len(self._live) > self._max_live:
+            victim = next(
+                (state for state in self._live.values() if state is not protect), None
             )
             if victim is None:
                 return  # only the protected stream is live; nothing to evict
@@ -633,6 +626,7 @@ class StreamRegistry:
             # to reclaim right now.
             state.wal.compact(int(sink_state.items_processed))
         state.sink = None
+        del self._live[state.name]
         state.spilled = True
         state.evictions += 1
         state.eviction_boundaries.append(state.items_processed)

@@ -355,7 +355,8 @@ class TestSnapshotCache:
             executor.ingest_chunk(stream.array[start:start + 2000])
         cached = [executor.snapshot(report_kwargs={"phi": 0.05}) for _ in range(3)][-1]
         reference = MisraGries(0.02, 256)
-        reference.insert_many(stream.array[:4000])
+        for start in range(0, 4000, 2000):
+            reference.insert_many(stream.array[start:start + 2000])
         assert dict(cached.report.items) == dict(reference.report(phi=0.05).items)
 
     def test_cache_is_dropped_on_finalize(self):

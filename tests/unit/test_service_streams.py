@@ -529,15 +529,20 @@ class TestEvictionConcurrencyStress:
         total_batches = 60
         barrier = threading.Barrier(3)
         stop = threading.Event()
+        churned = threading.Event()
         failures = []
 
         def writer():
             barrier.wait()
             try:
                 for index in range(total_batches):
+                    churned.clear()
                     registry.push(
                         "subject", np.full(37, index % UNIVERSE, dtype=np.int64)
                     )
+                    # Without a pause the writer can re-take the lock for all
+                    # its pushes before churn runs once, and nothing is evicted.
+                    churned.wait(timeout=1.0)
             except Exception as exc:  # pragma: no cover - failure diagnostics
                 failures.append(("writer", exc))
             finally:
@@ -552,6 +557,7 @@ class TestEvictionConcurrencyStress:
                     registry.push(
                         f"churn{index % 2}", np.zeros(1, dtype=np.int64)
                     )
+                    churned.set()
                     index += 1
             except Exception as exc:  # pragma: no cover - failure diagnostics
                 failures.append(("churn", exc))
