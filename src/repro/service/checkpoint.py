@@ -17,7 +17,8 @@ layer's capture/restore:
   without re-specifying them on restart;
 * **atomic writes** — the file is written to a temp sibling and ``os.replace``-d
   into place, so a crash mid-checkpoint never leaves a truncated file where a
-  previous good checkpoint used to be.
+  previous good checkpoint used to be.  The one exception is
+  :meth:`Checkpointer.save_in_place`, for scratch files no restart reads.
 
 Determinism contract (what "resume bit-for-bit" means here)
 -----------------------------------------------------------
@@ -113,6 +114,11 @@ class Checkpointer:
     ) -> Dict[str, object]:
         """Write one checkpoint file atomically and durably.
 
+        Every caller gets both guarantees except the stream registry's spills
+        on a registry without a write-ahead log: those go through
+        :meth:`save_in_place`, because no restart ever reads them — the sinks
+        and remainder buffers they belong to live only in the crashed process.
+
         Args:
             path: destination file; parent directories are created as needed.
             state: a capture from
@@ -130,12 +136,47 @@ class Checkpointer:
             ``package_version``, ``kind``, ``items_processed``,
             ``wal_position``, ``config``).
         """
-        from repro import __version__
-
         # Checkpoints are rare (seconds apart at most), so the clock reads are
         # unconditional — unlike the per-chunk hot paths, nothing to shave here.
         save_started = time.perf_counter()
-        fsync_seconds = 0.0
+        manifest, payload = self._encode(state, config, wal_position)
+        fsync_seconds = self.write_atomically(path, payload)
+        self._metric_seconds.observe(time.perf_counter() - save_started)
+        self._metric_bytes.observe(float(len(payload)))
+        self._metric_fsync_seconds.observe(fsync_seconds)
+        return manifest
+
+    def save_in_place(
+        self,
+        path: str,
+        state: "SinkState | GroupSinkState",
+        config: Optional[Dict[str, object]] = None,
+    ) -> Dict[str, object]:
+        """Write the same bytes as :meth:`save`, straight to ``path``.
+
+        No temp file, no fsync, no rename: for process-private scratch that no
+        restart reads, where a crash loses the owning process's memory anyway.
+        :meth:`load` still verifies the format tag and the digest, so a torn
+        file is rejected, never adopted.  A failed write raises before the
+        caller drops its in-memory copy.
+        """
+        save_started = time.perf_counter()
+        manifest, payload = self._encode(state, config, None)
+        with open(path, "wb") as handle:
+            pickle.dump(self._envelope(payload), handle, protocol=pickle.HIGHEST_PROTOCOL)
+        self._metric_seconds.observe(time.perf_counter() - save_started)
+        self._metric_bytes.observe(float(len(payload)))
+        return manifest
+
+    @staticmethod
+    def _encode(
+        state: "SinkState | GroupSinkState",
+        config: Optional[Dict[str, object]],
+        wal_position: Optional[int],
+    ) -> Tuple[Dict[str, object], bytes]:
+        """``(manifest, pickled payload)`` of one checkpoint."""
+        from repro import __version__
+
         manifest: Dict[str, object] = {
             "format": CHECKPOINT_FORMAT,
             "package_version": __version__,
@@ -146,17 +187,33 @@ class Checkpointer:
         }
         payload = pickle.dumps({"manifest": manifest, "state": state},
                                protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = {
+        return manifest, payload
+
+    @staticmethod
+    def _envelope(payload: bytes) -> Dict[str, object]:
+        """The format-tagged, digested outer record a file holds, pickled."""
+        return {
             "format": CHECKPOINT_FORMAT,
             "sha256": hashlib.sha256(payload).hexdigest(),
             "payload": payload,
         }
+
+    @classmethod
+    def write_atomically(cls, path: str, payload: bytes) -> float:
+        """Write pickled ``payload`` in its envelope, atomically and durably.
+
+        The envelope goes to a temp sibling that is fsynced, ``os.replace``-d
+        into place, and made durable with a directory fsync, so a reader sees
+        the old file or the new one and a crash after return keeps the new
+        one.  :meth:`read_envelope` reads it back.  Returns the fsync seconds.
+        """
+        fsync_seconds = 0.0
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(cls._envelope(payload), handle, protocol=pickle.HIGHEST_PROTOCOL)
                 handle.flush()
                 # Durability, not just atomicity: the rename below only
                 # guarantees readers see old-or-new; without fsyncing the data
@@ -166,7 +223,7 @@ class Checkpointer:
                 fsync_seconds += time.perf_counter() - fsync_started
             os.replace(temp_path, path)
             fsync_started = time.perf_counter()
-            self._fsync_directory(directory)
+            cls._fsync_directory(directory)
             fsync_seconds += time.perf_counter() - fsync_started
         except BaseException:
             try:
@@ -174,10 +231,7 @@ class Checkpointer:
             except OSError:
                 pass
             raise
-        self._metric_seconds.observe(time.perf_counter() - save_started)
-        self._metric_bytes.observe(float(len(payload)))
-        self._metric_fsync_seconds.observe(fsync_seconds)
-        return manifest
+        return fsync_seconds
 
     @staticmethod
     def _fsync_directory(directory: str) -> None:
@@ -258,6 +312,26 @@ class Checkpointer:
                 :class:`~repro.replication.GroupSinkState`.
             FileNotFoundError: if ``path`` does not exist.
         """
+        payload = self.read_envelope(path)
+        if not isinstance(payload, dict) or "manifest" not in payload or "state" not in payload:
+            self._reject(f"{path!r} is not a checkpoint file")
+        manifest = payload["manifest"]
+        state = payload["state"]
+        if not isinstance(state, (SinkState, GroupSinkState)):
+            self._reject(
+                f"{path!r} holds a {type(state).__name__}, not a sink state"
+            )
+        return state, manifest
+
+    def read_envelope(self, path: str) -> object:
+        """Read a file :meth:`write_atomically` wrote and unpickle its payload.
+
+        Raises:
+            CheckpointError: if the file is not an envelope, carries an unknown
+                format version, or its payload no longer matches the recorded
+                SHA-256 digest.
+            FileNotFoundError: if ``path`` does not exist.
+        """
         with open(path, "rb") as handle:
             try:
                 envelope = pickle.load(handle)
@@ -294,24 +368,33 @@ class Checkpointer:
                 f"match the recorded {envelope['sha256']}"
             )
         try:
-            payload = pickle.loads(envelope["payload"])
+            return pickle.loads(envelope["payload"])
         except Exception as exc:
             self._reject(
                 f"{path!r} is not a readable checkpoint: "
                 f"{type(exc).__name__}: {exc}",
                 cause=exc,
             )
-        if not isinstance(payload, dict) or "manifest" not in payload or "state" not in payload:
-            self._reject(f"{path!r} is not a checkpoint file")
-        manifest = payload["manifest"]
-        state = payload["state"]
-        if not isinstance(state, (SinkState, GroupSinkState)):
-            self._reject(
-                f"{path!r} holds a {type(state).__name__}, not a sink state"
-            )
-        return state, manifest
 
     def restore_pipeline(
+        self,
+        path: str,
+        chunk_size: Optional[int] = None,
+        queue_depth: Optional[int] = None,
+        registry: Optional[MetricRegistry] = None,
+        tracer=None,
+    ) -> Tuple["PipelinedExecutor | ReplicaGroup", Dict[str, object]]:
+        """Sweep the checkpoint's directory, then :meth:`restore` it.
+
+        The sweep reclaims ``*.ckpt.tmp`` files a crash stranded there (see
+        :meth:`sweep_stale_temp_files`); callers that restore many times from
+        one directory sweep it once themselves and call :meth:`restore`.
+        """
+        self.sweep_stale_temp_files(os.path.dirname(os.path.abspath(path)))
+        return self.restore(path, chunk_size=chunk_size, queue_depth=queue_depth,
+                            registry=registry, tracer=tracer)
+
+    def restore(
         self,
         path: str,
         chunk_size: Optional[int] = None,
@@ -335,7 +418,6 @@ class Checkpointer:
             restore).  Either way, the sink's one permitted run covers the
             remaining stream tail.
         """
-        self.sweep_stale_temp_files(os.path.dirname(os.path.abspath(path)))
         state, manifest = self.load(path)
         config = manifest.get("config", {})
         if chunk_size is None:

@@ -28,7 +28,23 @@ With ``max_live_streams`` set, at most that many named streams keep a resident
 sink.  Pushing or querying a stream beyond the cap evicts the least-recently-used
 idle stream: its chunk-aligned sink state is written through
 :class:`~repro.service.checkpoint.Checkpointer` to a per-stream spill file and
-the sink is dropped; the next push/query lazily restores it.  Because a
+the sink is dropped; the next push/query lazily restores it.  Neither step
+depends on how many streams exist: the victim is the head of an LRU map, and a
+restore reads one file by its digest-keyed name without listing the spill
+directory (stale ``*.ckpt.tmp`` files are swept once, when the registry opens
+it).
+
+How a spill is written depends on whether anything can ever read it back after
+a crash.  Without a ``wal_dir``, spills are process-private scratch: a crash
+loses the resident sinks and remainder buffers anyway, and no restart recovers
+named streams, so the spill is written in place with no temp file, fsync or
+rename (:meth:`~repro.service.checkpoint.Checkpointer.save_in_place`).  With a
+``wal_dir``, the spill is the stream's recovery checkpoint and its save lets
+the journal prefix it covers be deleted, so it is written atomically and
+durably (:meth:`~repro.service.checkpoint.Checkpointer.save`) before the
+journal is compacted.  Either way the bytes are the same checksummed envelope,
+and a load verifies the format tag and the SHA-256 digest.  A failed write
+raises before the sink is dropped, so the stream stays resident.  Because a
 :class:`~repro.primitives.rng.RandomSource` serializes as a deterministically
 re-seeded sibling (see :mod:`repro.primitives.rng`), an evict→restore cycle is
 bit-for-bit equivalent to an *offline replay that round-trips its state through
@@ -41,6 +57,11 @@ round-trip schedule offline and assert identity.
 The remainder buffer (pushed items past the last chunk boundary) always stays
 in memory — it is bounded by ``chunk_size`` items per stream — so eviction never
 loses acked items and restore needs no partial-chunk bookkeeping.
+
+Sealing a journaled stream durably writes its result and report arguments to
+``sealed.result`` in the stream's directory and deletes its journal and spill,
+so a restart registers the stream as sealed: pushes stay refused and ``query``
+returns the same result.
 """
 
 from __future__ import annotations
@@ -49,6 +70,7 @@ import hashlib
 import json
 import logging
 import os
+import pickle
 import shutil
 import tempfile
 import threading
@@ -59,7 +81,7 @@ import numpy as np
 
 from repro.observability.metrics import MetricRegistry, resolve_registry
 from repro.pipeline import PipelinedExecutor
-from repro.service.checkpoint import Checkpointer
+from repro.service.checkpoint import Checkpointer, CheckpointError
 
 logger = logging.getLogger("repro.service.registry")
 
@@ -74,6 +96,11 @@ DEFAULT_STREAM = "default"
 _LIFECYCLE_COMMANDS = frozenset(
     {"stream_create", "stream_seal", "stream_delete", "stream_list"}
 )
+
+#: A sealed journaled stream's result record, next to its ``meta.json``.
+_SEALED_RECORD = "sealed.result"
+#: The files a sealed journaled stream keeps; its journal and spill are deleted.
+_SEALED_KEEP = frozenset({"meta.json", _SEALED_RECORD})
 
 
 def derive_stream_seed(seed: Optional[int], name: str) -> int:
@@ -132,8 +159,10 @@ class StreamRegistry:
         max_live_streams: bound on named streams with a resident sink;
             ``None`` disables eviction.  Must be >= 1 when set — the stream
             being pushed or queried always needs its sink resident.
-        spill_dir: directory for eviction spill files; a private temporary
-            directory (removed by :meth:`close`) when omitted.
+        spill_dir: directory for eviction spill files of non-journaled
+            streams; a private temporary directory (removed by :meth:`close`)
+            when omitted.  Stale ``*.ckpt.tmp`` files in a given directory are
+            swept here, once.
         registry: metric registry for the ``repro_service_stream_*`` families
             (per-stream labeled counters and the live-streams gauge).
 
@@ -185,6 +214,7 @@ class StreamRegistry:
             self._owns_spill_dir = True
         else:
             os.makedirs(spill_dir, exist_ok=True)
+            Checkpointer.sweep_stale_temp_files(spill_dir)
             self._spill_dir = spill_dir
             self._owns_spill_dir = False
         self._metric_pushes = self._metrics.counter(
@@ -257,7 +287,8 @@ class StreamRegistry:
         A second seal with the same ``report_kwargs`` returns the stored
         result (mirroring the default stream's idempotent ``finish``); a seal
         with different kwargs is refused, exactly like re-reporting a finished
-        run.
+        run.  A journaled stream's seal is recorded durably and its journal
+        reclaimed, so it survives a restart sealed.
         """
         kwargs = dict(report_kwargs or {})
         with self._lock:
@@ -282,6 +313,8 @@ class StreamRegistry:
             del self._live[name]
             self._locked_remove_spill(state)
             self._metric_live.set(len(self._live))
+            if state.wal is not None:
+                self._locked_record_seal(state)
             return state.result
 
     def delete(self, name: str) -> Dict[str, object]:
@@ -545,13 +578,60 @@ class StreamRegistry:
             os.fsync(handle.fileno())
         Checkpointer._fsync_directory(stream_dir)
 
+    def _locked_record_seal(self, state: _StreamState) -> None:
+        """Durably record a journaled stream's seal, then reclaim its journal.
+
+        The record is written atomically before anything is deleted, so a
+        crash at any point leaves either the unsealed journal (the seal was
+        never acked) or the record, which recovery adopts and reclaims again.
+        """
+        record = {"seal_kwargs": state.seal_kwargs, "result": state.result}
+        Checkpointer.write_atomically(
+            os.path.join(state.wal_dir, _SEALED_RECORD),
+            pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        state.wal.close()
+        state.wal = None
+        self._reclaim_sealed_dir(state.wal_dir)
+
+    @staticmethod
+    def _reclaim_sealed_dir(stream_dir: str) -> None:
+        """Delete a sealed stream's journal segments, spill and temp files."""
+        for entry in os.listdir(stream_dir):
+            if entry not in _SEALED_KEEP:
+                try:
+                    os.unlink(os.path.join(stream_dir, entry))
+                except OSError:
+                    pass
+
+    def _recover_sealed(self, name: str, stream_dir: str) -> Optional[_StreamState]:
+        """Rebuild a sealed stream from its record, or ``None`` if unreadable."""
+        try:
+            record = self._checkpointer.read_envelope(
+                os.path.join(stream_dir, _SEALED_RECORD)
+            )
+        except (OSError, CheckpointError) as exc:
+            logger.warning("skipping unreadable sealed stream %r: %s", name, exc)
+            return None
+        state = _StreamState(name, None, os.path.join(stream_dir, "spill.ckpt"))
+        state.wal_dir = stream_dir
+        state.sealed = True
+        state.seal_kwargs = record["seal_kwargs"]
+        state.result = record["result"]
+        state.items_received = state.items_processed = int(state.result.items_processed)
+        state.chunks = int(state.result.chunks)
+        self._reclaim_sealed_dir(stream_dir)
+        return state
+
     def _locked_recover_streams(self) -> None:
         """Re-register every journaled stream found in the WAL directory.
 
         Runs once, at construction: each ``stream-*/meta.json`` names a stream
-        that existed before the crash (or clean stop); creating it through the
-        normal path replays its checkpoint + journal, so a restarted server
-        answers ``stream_list``/``query`` for it without waiting for a push.
+        that existed before the crash (or clean stop).  A sealed stream comes
+        back from its seal record; any other is created through the normal
+        path, which replays its checkpoint + journal.  Either way a restarted
+        server answers ``stream_list``/``query`` for it without waiting for a
+        push.
         """
         for entry in sorted(os.listdir(self._wal_dir)):
             meta_path = os.path.join(self._wal_dir, entry, "meta.json")
@@ -565,6 +645,12 @@ class StreamRegistry:
                                meta_path, exc)
                 continue
             if name in self._streams:
+                continue
+            stream_dir = os.path.join(self._wal_dir, entry)
+            if os.path.exists(os.path.join(stream_dir, _SEALED_RECORD)):
+                sealed = self._recover_sealed(name, stream_dir)
+                if sealed is not None:
+                    self._streams[name] = sealed
                 continue
             self._streams[name] = state = self._locked_create_journaled(
                 name, entry[len("stream-"):]
@@ -581,7 +667,7 @@ class StreamRegistry:
     def _locked_ensure_live(self, state: _StreamState) -> None:
         """Restore an unsealed stream's spilled sink if needed, update LRU, enforce the cap."""
         if state.sink is None:
-            sink, _ = self._checkpointer.restore_pipeline(
+            sink, _ = self._checkpointer.restore(
                 state.spill_path,
                 chunk_size=self._chunk_size,
                 queue_depth=self._queue_depth,
@@ -608,23 +694,23 @@ class StreamRegistry:
 
     def _locked_evict(self, state: _StreamState) -> None:
         sink_state = state.sink.sink_state()
-        self._checkpointer.save(
-            state.spill_path,
-            sink_state,
-            config={
-                "stream": state.name,
-                "chunk_size": self._chunk_size,
-                "queue_depth": self._queue_depth,
-            },
-            wal_position=(
-                int(sink_state.items_processed) if state.wal is not None else None
-            ),
-        )
-        if state.wal is not None:
+        config = {
+            "stream": state.name,
+            "chunk_size": self._chunk_size,
+            "queue_depth": self._queue_depth,
+        }
+        if state.wal is None:
+            # No restart reads this spill (see "Eviction contract").
+            self._checkpointer.save_in_place(state.spill_path, sink_state, config)
+        else:
+            position = int(sink_state.items_processed)
+            self._checkpointer.save(
+                state.spill_path, sink_state, config, wal_position=position
+            )
             # The spill lives inside the stream's WAL directory, so recovery
             # can restore it — which makes the journal's covered prefix safe
             # to reclaim right now.
-            state.wal.compact(int(sink_state.items_processed))
+            state.wal.compact(position)
         state.sink = None
         del self._live[state.name]
         state.spilled = True

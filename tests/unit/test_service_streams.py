@@ -288,6 +288,61 @@ class TestEvictionRestore:
         assert 0 <= derive_stream_seed(None, "a") < (1 << 62)
 
 
+class TestSealedJournaledStreamRestart:
+    def test_sealed_stream_stays_sealed_after_restart(self, tmp_path):
+        def open_registry():
+            return StreamRegistry(
+                lambda name: PipelinedExecutor(
+                    sketch=make_sketch(derive_stream_seed(9, name)), chunk_size=CHUNK
+                ),
+                chunk_size=CHUNK,
+                max_live_streams=1,
+                spill_dir=str(tmp_path / "spill"),
+                wal_dir=str(tmp_path / "wal"),
+                wal_fsync="off",
+            )
+
+        items = make_stream(5, length=2 * CHUNK + 10)
+        kwargs = {}
+        registry = open_registry()
+        registry.push("a", items[:10])
+        registry.push("b", items[:CHUNK])  # evicts a: its spill joins the journal
+        registry.push("a", items[10:])
+        sealed = registry.seal("a", report_kwargs=kwargs)
+        registry.close()
+        (stream_dir,) = [
+            path for path in (tmp_path / "wal").iterdir()
+            if (path / "sealed.result").exists()
+        ]
+        assert sorted(entry.name for entry in stream_dir.iterdir()) == [
+            "meta.json", "sealed.result",
+        ]
+
+        reborn = open_registry()
+        try:
+            info = reborn.stream_info("a")
+            assert info["sealed"] is True and info["live"] is False
+            assert info["items_received"] == info["items_processed"] == items.size
+            with pytest.raises(RuntimeError, match="sealed"):
+                reborn.push("a", items[:3])
+            final, result = reborn.query("a", report_kwargs=kwargs)
+            assert final is True
+            assert result.report == sealed.report
+            assert result.items_processed == sealed.items_processed == items.size
+            assert reborn.seal("a", report_kwargs=kwargs) is result
+            with pytest.raises(ValueError, match="already sealed"):
+                reborn.seal("a", report_kwargs={"phi": 0.2})
+            assert reborn.stream_info("b")["sealed"] is False
+            reborn.delete("a")
+        finally:
+            reborn.close()
+        third = open_registry()
+        try:
+            assert [entry["stream"] for entry in third.list_streams()] == ["b"]
+        finally:
+            third.close()
+
+
 def tenancy_server(boot, *, max_live=2, seed=42, tcp=False):
     def factory(name):
         return PipelinedExecutor(
