@@ -164,7 +164,8 @@ def recover_sink(
 
     checkpoint_path = find_checkpoint(directory, checkpointer)
     if checkpoint_path is not None:
-        sink, manifest = checkpointer.restore_pipeline(
+        # The directory was swept above, so skip restore_pipeline's sweep.
+        sink, manifest = checkpointer.restore(
             checkpoint_path, chunk_size=chunk_size, queue_depth=queue_depth,
             registry=registry, tracer=tracer,
         )

@@ -299,6 +299,9 @@ class StreamRegistry:
                         f"stream {name!r} is already sealed; cannot re-report "
                         "with different report arguments"
                     )
+                if state.wal is not None:
+                    # An earlier seal failed to write its record; finish it.
+                    self._locked_record_seal(state)
                 return state.result
             self._locked_ensure_live(state)
             if state.remainder.size:
@@ -311,9 +314,12 @@ class StreamRegistry:
             state.seal_kwargs = kwargs
             state.sink = None  # the merge consumed it; the result stands
             del self._live[name]
-            self._locked_remove_spill(state)
             self._metric_live.set(len(self._live))
-            if state.wal is not None:
+            if state.wal is None:
+                self._locked_remove_spill(state)
+            else:
+                # The spill and journal stay until the record is durable.
+                state.spilled = False
                 self._locked_record_seal(state)
             return state.result
 
@@ -581,9 +587,13 @@ class StreamRegistry:
     def _locked_record_seal(self, state: _StreamState) -> None:
         """Durably record a journaled stream's seal, then reclaim its journal.
 
-        The record is written atomically before anything is deleted, so a
-        crash at any point leaves either the unsealed journal (the seal was
-        never acked) or the record, which recovery adopts and reclaims again.
+        The record is written atomically before the journal, spill or anything
+        else is deleted, so a crash at any point leaves either the unsealed
+        journal and its checkpoint (the seal was never acked) or the record,
+        which recovery adopts and reclaims again.  If the write raises, the
+        stream keeps its WAL handle: it stays sealed in memory, every acked
+        item stays journaled on disk, and the next :meth:`seal` retries the
+        record.
         """
         record = {"seal_kwargs": state.seal_kwargs, "result": state.result}
         Checkpointer.write_atomically(
@@ -604,22 +614,33 @@ class StreamRegistry:
                 except OSError:
                     pass
 
-    def _recover_sealed(self, name: str, stream_dir: str) -> Optional[_StreamState]:
-        """Rebuild a sealed stream from its record, or ``None`` if unreadable."""
+    def _recover_sealed(self, name: str, stream_dir: str) -> _StreamState:
+        """Rebuild a sealed stream from its record.
+
+        Raises:
+            CheckpointError: if the record is unreadable or malformed.  The
+                journal it replaced is gone, so skipping the stream would lose
+                its result — and, once the name is reused, make every later
+                restart skip the new stream's journal — so the registry
+                refuses to open instead, as recovery does for a journal
+                compacted past its checkpoint.
+        """
+        path = os.path.join(stream_dir, _SEALED_RECORD)
+        record = self._checkpointer.read_envelope(path)
         try:
-            record = self._checkpointer.read_envelope(
-                os.path.join(stream_dir, _SEALED_RECORD)
-            )
-        except (OSError, CheckpointError) as exc:
-            logger.warning("skipping unreadable sealed stream %r: %s", name, exc)
-            return None
+            seal_kwargs, result = record["seal_kwargs"], record["result"]
+            items, chunks = int(result.items_processed), int(result.chunks)
+        except (TypeError, KeyError, AttributeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path!r} is not a sealed-stream record for {name!r}"
+            ) from exc
         state = _StreamState(name, None, os.path.join(stream_dir, "spill.ckpt"))
         state.wal_dir = stream_dir
         state.sealed = True
-        state.seal_kwargs = record["seal_kwargs"]
-        state.result = record["result"]
-        state.items_received = state.items_processed = int(state.result.items_processed)
-        state.chunks = int(state.result.chunks)
+        state.seal_kwargs = seal_kwargs
+        state.result = result
+        state.items_received = state.items_processed = items
+        state.chunks = chunks
         self._reclaim_sealed_dir(stream_dir)
         return state
 
@@ -648,9 +669,7 @@ class StreamRegistry:
                 continue
             stream_dir = os.path.join(self._wal_dir, entry)
             if os.path.exists(os.path.join(stream_dir, _SEALED_RECORD)):
-                sealed = self._recover_sealed(name, stream_dir)
-                if sealed is not None:
-                    self._streams[name] = sealed
+                self._streams[name] = self._recover_sealed(name, stream_dir)
                 continue
             self._streams[name] = state = self._locked_create_journaled(
                 name, entry[len("stream-"):]

@@ -7,7 +7,10 @@ stress tests on the eviction path — concurrent push/query/evict/restore must
 never lose an acked chunk and never serve a stale snapshot.
 """
 
+import errno
+import json
 import os
+import pickle
 import threading
 from collections import Counter
 
@@ -21,6 +24,7 @@ from repro.observability import MetricRegistry
 from repro.pipeline import PipelinedExecutor
 from repro.primitives.rng import RandomSource
 from repro.service import (
+    CheckpointError,
     Checkpointer,
     IngestServer,
     ServiceClient,
@@ -288,19 +292,23 @@ class TestEvictionRestore:
         assert 0 <= derive_stream_seed(None, "a") < (1 << 62)
 
 
+def open_journaled_registry(tmp_path):
+    return StreamRegistry(
+        lambda name: PipelinedExecutor(
+            sketch=make_sketch(derive_stream_seed(9, name)), chunk_size=CHUNK
+        ),
+        chunk_size=CHUNK,
+        max_live_streams=1,
+        spill_dir=str(tmp_path / "spill"),
+        wal_dir=str(tmp_path / "wal"),
+        wal_fsync="off",
+    )
+
+
 class TestSealedJournaledStreamRestart:
     def test_sealed_stream_stays_sealed_after_restart(self, tmp_path):
         def open_registry():
-            return StreamRegistry(
-                lambda name: PipelinedExecutor(
-                    sketch=make_sketch(derive_stream_seed(9, name)), chunk_size=CHUNK
-                ),
-                chunk_size=CHUNK,
-                max_live_streams=1,
-                spill_dir=str(tmp_path / "spill"),
-                wal_dir=str(tmp_path / "wal"),
-                wal_fsync="off",
-            )
+            return open_journaled_registry(tmp_path)
 
         items = make_stream(5, length=2 * CHUNK + 10)
         kwargs = {}
@@ -341,6 +349,87 @@ class TestSealedJournaledStreamRestart:
             assert [entry["stream"] for entry in third.list_streams()] == ["b"]
         finally:
             third.close()
+
+    @staticmethod
+    def _fail_seal_records(monkeypatch):
+        """Make every seal-record write raise ENOSPC; spills still save."""
+        real = Checkpointer.write_atomically
+
+        def write_atomically(path, payload):
+            if os.path.basename(path) == "sealed.result":
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            return real(path, payload)
+
+        monkeypatch.setattr(Checkpointer, "write_atomically", staticmethod(write_atomically))
+
+    def _seal_that_fails(self, tmp_path, monkeypatch):
+        """Push to a, evict it (compacting its journal), push more, fail its seal."""
+        items = make_stream(6, length=2 * CHUNK + 10)
+        registry = open_journaled_registry(tmp_path)
+        registry.push("a", items[:CHUNK + 5])
+        registry.push("b", items[:CHUNK])  # evicts a: the spill covers its journal
+        registry.push("a", items[CHUNK + 5:])
+        self._fail_seal_records(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            registry.seal("a")
+        (stream_dir,) = [
+            path for path in (tmp_path / "wal").iterdir()
+            if json.loads((path / "meta.json").read_text())["stream"] == "a"
+        ]
+        assert (stream_dir / "spill.ckpt").exists()
+        assert not (stream_dir / "sealed.result").exists()
+        with pytest.raises(RuntimeError, match="sealed"):
+            registry.push("a", items[:3])
+        return registry, items, registry.query("a")[1]
+
+    def test_failed_seal_record_leaves_stream_recoverable_unsealed(
+        self, tmp_path, monkeypatch
+    ):
+        registry, items, unacked = self._seal_that_fails(tmp_path, monkeypatch)
+        registry.close()
+        monkeypatch.undo()
+        reborn = open_journaled_registry(tmp_path)
+        try:
+            info = reborn.stream_info("a")
+            assert info["sealed"] is False
+            assert info["items_received"] == items.size
+            assert reborn.seal("a").report == unacked.report
+        finally:
+            reborn.close()
+
+    def test_failed_seal_record_is_written_by_the_retried_seal(
+        self, tmp_path, monkeypatch
+    ):
+        registry, items, unacked = self._seal_that_fails(tmp_path, monkeypatch)
+        monkeypatch.undo()
+        try:
+            assert registry.seal("a") is unacked
+            with pytest.raises(ValueError, match="already sealed"):
+                registry.seal("a", report_kwargs={"phi": 0.2})
+        finally:
+            registry.close()
+        reborn = open_journaled_registry(tmp_path)
+        try:
+            info = reborn.stream_info("a")
+            assert info["sealed"] is True
+            assert info["items_processed"] == items.size
+            assert reborn.query("a")[1].report == unacked.report
+        finally:
+            reborn.close()
+
+    @pytest.mark.parametrize("damage", ["garbage", "wrong_shape"])
+    def test_unreadable_seal_record_refuses_to_open(self, tmp_path, damage):
+        registry = open_journaled_registry(tmp_path)
+        registry.push("a", make_stream(7, length=10))
+        registry.seal("a")
+        registry.close()
+        (record,) = (tmp_path / "wal").glob("stream-*/sealed.result")
+        if damage == "garbage":
+            record.write_bytes(b"not a record")
+        else:
+            Checkpointer.write_atomically(str(record), pickle.dumps({"result": 1}))
+        with pytest.raises(CheckpointError):
+            open_journaled_registry(tmp_path)
 
 
 def tenancy_server(boot, *, max_live=2, seed=42, tcp=False):
