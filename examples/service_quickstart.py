@@ -17,7 +17,7 @@ Misra–Gries is deterministic, so step 5 is exact equality against the uninterr
 run.  The randomized sketches checkpoint/resume deterministically too, but their
 randomness re-seeds across the serialization boundary, so their equality is against
 an offline replay that round-trips state at the same boundary — see
-``repro/service/checkpoint.py`` and ``run_service_comparison`` for that experiment.
+``repro/service/checkpoint.py`` and ``tests/integration/test_service_round_trip.py``.
 
 Run:  python examples/service_quickstart.py
 """

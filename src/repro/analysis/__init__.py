@@ -4,8 +4,8 @@
   error statistics of frequency / score estimates.
 * :mod:`repro.analysis.theory` — helpers for comparing measured space against the
   Table 1 formulas (scaling-shape checks, crossover points against Misra–Gries).
-* :mod:`repro.analysis.harness` — the experiment runner used by the benchmark suite and
-  by ``examples/`` to regenerate the EXPERIMENTS.md tables.
+* :mod:`repro.analysis.harness` — the experiment runner used by the paper-table
+  scripts under ``benchmarks/`` and by ``examples/``.
 """
 
 from repro.analysis.metrics import (
@@ -22,8 +22,6 @@ from repro.analysis.theory import (
 from repro.analysis.harness import (
     ExperimentRow,
     run_heavy_hitter_comparison,
-    run_sharded_comparison,
-    run_single_reference,
     run_space_scaling_experiment,
     format_table,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "heavy_hitters_crossover_universe_size",
     "ExperimentRow",
     "run_heavy_hitter_comparison",
-    "run_sharded_comparison",
-    "run_single_reference",
     "run_space_scaling_experiment",
     "format_table",
     "residual_mass",

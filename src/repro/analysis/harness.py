@@ -1,15 +1,15 @@
 """The experiment harness: run algorithms on workloads and tabulate the results.
 
-The benchmark modules under ``benchmarks/`` and the example scripts both use these
-helpers, so the numbers recorded in EXPERIMENTS.md come from exactly the code a user
-would run themselves.
+The paper-table scripts under ``benchmarks/`` and the example scripts use these
+helpers, so the tables in docs/BENCHMARKS.md come from exactly the code a user
+would run themselves.  The replication and crash comparisons are the experiments
+``tests/integration/test_failover.py`` and ``test_crash_recovery.py`` gate on.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -26,15 +26,8 @@ from repro.pipeline import PipelinedExecutor
 from repro.primitives.batching import iter_chunks
 from repro.primitives.rng import RandomSource
 from repro.replication import FaultPlan, ReplicaGroup, ReplicaSupervisor
-from repro.service import (
-    Checkpointer,
-    IngestServer,
-    RetryPolicy,
-    ServiceClient,
-    derive_stream_seed,
-)
+from repro.service import RetryPolicy, ServiceClient
 from repro.service.protocol import report_to_payload
-from repro.sharding import ShardedExecutor
 from repro.streams.io import iterate_stream_file, iterate_stream_file_chunks, stream_file_metadata
 from repro.streams.stream import Stream
 from repro.streams.truth import exact_frequencies
@@ -140,7 +133,7 @@ def _heavy_hitter_measurements(
     elapsed: float,
     space_bits: float,
 ) -> Dict[str, float]:
-    """The shared measurement set of the sharded-vs-single comparison rows."""
+    """The accuracy measurement set of every replication comparison row."""
     accuracy = evaluate_heavy_hitters(report, true_frequencies)
     return {
         "total_seconds": elapsed,
@@ -151,667 +144,6 @@ def _heavy_hitter_measurements(
         "reported": float(accuracy.reported_count),
         "satisfies_definition": float(accuracy.satisfies_definition),
     }
-
-
-def run_single_reference(
-    factory: Callable[[int], FrequencyEstimator],
-    stream: Stream,
-    phi: float,
-    batch_size: Optional[int] = None,
-    report_kwargs: Optional[Mapping[str, object]] = None,
-    true_frequencies: Optional[Mapping[int, int]] = None,
-):
-    """One single-instance reference run for the sharded comparison.
-
-    Returns ``(row, report)`` so callers that compare several sharded drivers
-    against the same reference (e.g. the sharding benchmark) pay for the reference
-    ingestion once and hand the report to :func:`run_sharded_comparison` via
-    ``reference_report``.
-    """
-    truth = true_frequencies if true_frequencies is not None else exact_frequencies(stream)
-    single = factory(0)
-    timing = run_algorithm_on_stream(single, stream, batch_size=batch_size)
-    # Include report construction in the timed span, as the sharded rows do (their
-    # seconds cover routing + ingestion + merge + report), so single-vs-sharded
-    # total_seconds compare the same pipeline.
-    report_start = time.perf_counter()
-    report = single.report(**dict(report_kwargs or {}))
-    report_seconds = time.perf_counter() - report_start
-    elapsed = timing["total_seconds"] + report_seconds
-    measurements = _heavy_hitter_measurements(
-        report, truth, len(stream), elapsed, timing["space_bits"]
-    )
-    # The single-instance analogue of the sharded ingest/combine split: ingestion is
-    # the stream consumption, "combine" degenerates to report construction.
-    measurements["ingest_seconds"] = timing["total_seconds"]
-    measurements["combine_seconds"] = report_seconds
-    row = ExperimentRow(
-        label="single",
-        parameters={"stream": stream.name, "m": len(stream), "n": stream.universe_size,
-                    "phi": phi, "shards": 1},
-        measurements=measurements,
-    )
-    return row, report
-
-
-def run_sharded_comparison(
-    factory: Callable[[int], FrequencyEstimator],
-    stream: Stream,
-    phi: float,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    batch_size: Optional[int] = None,
-    parallel: bool = False,
-    rng: Optional[RandomSource] = None,
-    report_kwargs: Optional[Mapping[str, object]] = None,
-    reference_report=None,
-    true_frequencies: Optional[Mapping[int, int]] = None,
-) -> List[ExperimentRow]:
-    """The combine-phase accuracy experiment: sharded vs. single-instance reports.
-
-    Splitting a stream across shards must not silently degrade the (ε,ϕ) guarantee,
-    so the merge step gets its own measurement rather than an assumption: one
-    single-instance run (the reference) and one sharded run per entry of
-    ``shard_counts`` all consume the *same* stream, and each row records
-    recall/precision/max-error against the exact frequencies plus the symmetric
-    difference between the sharded and single-instance reported sets.  Matching
-    within the guarantee means: recall 1.0 over the ϕ-heavy items, no
-    (ϕ−ε)-light item reported, and max error at most ε·m — the same Definition 1
-    criteria the single-instance run is held to.
-
-    ``factory(instance_index)`` builds a fresh sketch; seed per index for independent
-    instances.  Index 0 is the single-instance reference, and every sharded run
-    receives its own disjoint index range (1..k₁, k₁+1..k₁+k₂, ...), so no shard
-    shares a seed with the reference — otherwise the k=1 row would compare a sketch
-    against a bit-identical twin and the measured agreement would be tautological
-    rather than evidence about the combine step.  ``parallel`` switches the sharded
-    runs to the multiprocessing driver; wall-clock for either driver lands in
-    ``total_seconds``.
-
-    With ``reference_report`` set (from :func:`run_single_reference`), the reference
-    run is not repeated and the returned rows contain only the sharded entries —
-    used by callers comparing several drivers against one reference.
-    """
-    rng = rng if rng is not None else RandomSource()
-    truth = true_frequencies if true_frequencies is not None else exact_frequencies(stream)
-    kwargs = dict(report_kwargs or {})
-    rows: List[ExperimentRow] = []
-    if reference_report is None:
-        single_row, reference_report = run_single_reference(
-            factory, stream, phi, batch_size=batch_size, report_kwargs=kwargs,
-            true_frequencies=truth,
-        )
-        rows.append(single_row)
-    single_set = set(reference_report.items)
-    next_instance_index = 1
-    for shards in shard_counts:
-        base_index = next_instance_index
-        next_instance_index += shards
-        executor = ShardedExecutor(
-            factory=lambda shard, base=base_index: factory(base + shard),
-            num_shards=shards,
-            universe_size=stream.universe_size,
-            rng=rng.spawn(shards),
-        )
-        result = executor.run(
-            stream, batch_size=batch_size, parallel=parallel, report_kwargs=kwargs
-        )
-        measurements = _heavy_hitter_measurements(
-            result.report, truth, len(stream), result.seconds, float(result.space_bits())
-        )
-        measurements["ingest_seconds"] = result.ingest_seconds
-        measurements["combine_seconds"] = result.combine_seconds
-        measurements["report_symmetric_difference"] = float(
-            len(single_set.symmetric_difference(result.report.items))
-        )
-        rows.append(
-            ExperimentRow(
-                label=f"sharded(k={shards}{',parallel' if parallel else ''})",
-                parameters={"stream": stream.name, "m": len(stream), "n": stream.universe_size,
-                            "phi": phi, "shards": shards},
-                measurements=measurements,
-            )
-        )
-    return rows
-
-
-def run_pipelined_comparison(
-    factory: Callable[[int], FrequencyEstimator],
-    path: str,
-    phi: float,
-    shards: int = 1,
-    chunk_size: int = 1 << 16,
-    queue_depth: int = 4,
-    rng: Optional[RandomSource] = None,
-    report_kwargs: Optional[Mapping[str, object]] = None,
-    true_frequencies: Optional[Mapping[int, int]] = None,
-    universe_size: Optional[int] = None,
-) -> List[ExperimentRow]:
-    """The pipelining-changes-nothing experiment: serial vs queue-backed disk replay.
-
-    Pipelined ingestion reorders *work* (parsing overlaps sketch updates), not
-    *data* — so its report must equal the serial chunked replay's bit for bit, not
-    merely within the (ε,ϕ) guarantee.  This experiment measures that equality
-    instead of assuming it: one serial :meth:`~repro.sharding.ShardedExecutor.run_chunks`
-    replay of the trace at ``path`` and one
-    :class:`~repro.pipeline.PipelinedExecutor` replay of the same trace are built
-    with *identical* seeds (same factory indices, same router draw, same chunk
-    size), and each row records the usual Definition 1 accuracy numbers, the
-    ingest/combine time split, and — on the pipelined row — the symmetric
-    difference against the serial report plus an ``identical_report`` indicator
-    (1.0 when the reported (item → estimate) maps match exactly).
-
-    ``factory(instance_index)`` builds a fresh sketch, seeded per index as in
-    :func:`run_sharded_comparison`; both runs use indices ``0..shards-1``, which is
-    what makes the comparison exact rather than statistical.  The exact frequencies
-    are computed from the file in one streaming pass unless ``true_frequencies`` is
-    supplied.
-    """
-    rng = rng if rng is not None else RandomSource()
-    metadata = stream_file_metadata(path)
-    length = metadata["length"]
-    universe = universe_size if universe_size is not None else metadata["universe_size"]
-    truth = (
-        true_frequencies
-        if true_frequencies is not None
-        else exact_frequencies(iterate_stream_file(path))
-    )
-    kwargs = dict(report_kwargs or {})
-    # One shared seed so the two executors draw identical routers; the factory
-    # indices coincide too, so shard j's sketch is the same object state in both runs.
-    router_seed = rng.random_bits(62)
-
-    def build_executor() -> ShardedExecutor:
-        return ShardedExecutor(
-            factory=factory,
-            num_shards=shards,
-            universe_size=universe,
-            rng=RandomSource(router_seed),
-        )
-
-    name = os.path.basename(path)
-
-    def make_row(label: str, result, extra: Optional[Dict[str, float]] = None) -> ExperimentRow:
-        measurements = _heavy_hitter_measurements(
-            result.report, truth, length, result.seconds, float(result.space_bits())
-        )
-        measurements["ingest_seconds"] = result.ingest_seconds
-        measurements["combine_seconds"] = result.combine_seconds
-        measurements.update(extra or {})
-        return ExperimentRow(
-            label=label,
-            parameters={"stream": name, "m": length, "n": universe, "phi": phi,
-                        "shards": shards, "chunk_size": chunk_size,
-                        "queue_depth": queue_depth},
-            measurements=measurements,
-        )
-
-    serial_result = build_executor().run_chunks(
-        iterate_stream_file_chunks(path, chunk_size), report_kwargs=kwargs
-    )
-    pipelined = PipelinedExecutor(
-        executor=build_executor(), chunk_size=chunk_size, queue_depth=queue_depth
-    )
-    pipelined_result = pipelined.run(path, report_kwargs=kwargs)
-    identical = dict(serial_result.report.items) == dict(pipelined_result.report.items)
-    rows = [
-        make_row("serial", serial_result),
-        make_row(
-            "pipelined",
-            pipelined_result,
-            extra={
-                "identical_report": 1.0 if identical else 0.0,
-                "report_symmetric_difference": float(
-                    len(set(serial_result.report.items).symmetric_difference(
-                        pipelined_result.report.items
-                    ))
-                ),
-                "max_queue_depth": float(pipelined_result.max_queue_depth),
-            },
-        ),
-    ]
-    return rows
-
-
-def run_service_comparison(
-    factory: Callable[[int], FrequencyEstimator],
-    path: str,
-    phi: float,
-    shards: int = 1,
-    chunk_size: int = 1 << 16,
-    queue_depth: int = 4,
-    push_batch: Optional[int] = None,
-    rng: Optional[RandomSource] = None,
-    report_kwargs: Optional[Mapping[str, object]] = None,
-    true_frequencies: Optional[Mapping[int, int]] = None,
-    universe_size: Optional[int] = None,
-    checkpoint: bool = True,
-    push_window: int = 32,
-    query_repeats: int = 5,
-) -> List[ExperimentRow]:
-    """The service-changes-nothing experiment: socket-served vs offline replay.
-
-    The service layer's contract (see :mod:`repro.service`) is that crossing the
-    process boundary reorders *where* work happens, not *what* the sketches see:
-    pushed batches are re-chunked to the same ``chunk_size`` boundaries an offline
-    replay uses, so with identical seeds the served report must equal the offline
-    :meth:`~repro.sharding.ShardedExecutor.run_chunks` replay **bit for bit** —
-    and, when ``checkpoint`` is on, a served run that checkpoints mid-stream,
-    restarts from the file, and resumes must equal an offline replay that
-    round-trips its state through the same
-    :class:`~repro.service.Checkpointer` at the same chunk boundary.  This
-    experiment measures both equalities instead of assuming them.
-
-    Four rows come back (three with ``checkpoint=False``):
-
-    * ``offline`` — the serial ``run_chunks`` replay of the trace at ``path``;
-    * ``served`` — a real :class:`~repro.service.IngestServer` on a loopback
-      socket, a :class:`~repro.service.ServiceClient` pushing the same trace in
-      ``push_batch``-item batches (deliberately decoupled from ``chunk_size``;
-      default ``chunk_size`` itself), then ``finish`` + ``query``.  Extra
-      measurements: ``identical_report`` (1.0 when the (item → estimate) maps
-      match the offline row exactly), ``report_symmetric_difference``,
-      ``push_seconds`` and ``pushed_items_per_second`` (client-observed socket
-      throughput), and the server-side ingest/combine split;
-    * ``pipelined`` — the same served run, but pushed through
-      :meth:`~repro.service.ServiceClient.push_stream` with a ``push_window``
-      window of un-acked frames in flight (credit-capped by the server).  After
-      the pushes, the prefix is flushed and held fixed while ``query_repeats``
-      mid-ingest queries are timed back to back — the first builds the merged
-      snapshot, the rest must hit the executor's versioned snapshot cache.
-      Extra measurements beyond the ``served`` set:
-      ``query_first_seconds`` / ``query_cached_seconds_median`` (and min/max),
-      ``query_latency_series`` (the raw per-query seconds, a list), and
-      ``snapshot_cache_hits`` / ``snapshot_cache_misses`` read from the
-      server's executor;
-    * ``resumed`` — push half the trace (an exact multiple of ``chunk_size``),
-      ``flush``, ``checkpoint``, shut the server down, restore a fresh server
-      from the file, push the rest, ``finish`` + ``query``; compared bit for bit
-      (``identical_report``) against the offline checkpoint-round-trip replay of
-      the same boundary.
-
-    ``factory(instance_index)`` builds a fresh sketch, seeded per index as in
-    :func:`run_pipelined_comparison`; every leg uses indices ``0..shards-1`` and
-    one shared router seed, which is what makes the comparisons exact rather than
-    statistical.
-
-    Raises:
-        AssertionError: never — equality lands in the rows, not in an assert, so
-            benchmarks can *record* a failure; tests assert on the rows.
-    """
-    rng = rng if rng is not None else RandomSource()
-    metadata = stream_file_metadata(path)
-    length = metadata["length"]
-    universe = universe_size if universe_size is not None else metadata["universe_size"]
-    truth = (
-        true_frequencies
-        if true_frequencies is not None
-        else exact_frequencies(iterate_stream_file(path))
-    )
-    kwargs = dict(report_kwargs or {})
-    push_batch = push_batch if push_batch is not None else chunk_size
-    router_seed = rng.random_bits(62)
-
-    def build_executor() -> ShardedExecutor:
-        return ShardedExecutor(
-            factory=factory,
-            num_shards=shards,
-            universe_size=universe,
-            rng=RandomSource(router_seed),
-        )
-
-    name = os.path.basename(path)
-    parameters = {
-        "stream": name, "m": length, "n": universe, "phi": phi, "shards": shards,
-        "chunk_size": chunk_size, "queue_depth": queue_depth, "push_batch": push_batch,
-    }
-
-    def make_row(label: str, report, seconds: float, space_bits: float,
-                 extra: Optional[Dict[str, float]] = None) -> ExperimentRow:
-        measurements = _heavy_hitter_measurements(report, truth, length, seconds, space_bits)
-        measurements.update(extra or {})
-        return ExperimentRow(label=label, parameters=dict(parameters), measurements=measurements)
-
-    # -- offline reference ----------------------------------------------------------
-    offline_result = build_executor().run_chunks(
-        iterate_stream_file_chunks(path, chunk_size), report_kwargs=kwargs
-    )
-    rows = [
-        make_row(
-            "offline", offline_result.report, offline_result.seconds,
-            float(offline_result.space_bits()),
-            extra={
-                "ingest_seconds": offline_result.ingest_seconds,
-                "combine_seconds": offline_result.combine_seconds,
-            },
-        )
-    ]
-    offline_items = dict(offline_result.report.items)
-
-    def serve(pipeline: PipelinedExecutor) -> IngestServer:
-        return IngestServer(
-            pipeline, port=0, universe_size=universe, report_kwargs=kwargs,
-        ).start()
-
-    def push_chunks(client: ServiceClient, chunks: Iterable) -> float:
-        start = time.perf_counter()
-        for chunk in chunks:
-            client.push(chunk)
-        return time.perf_counter() - start
-
-    # Materialize the push batches once, outside every timed push loop: the
-    # pushed-items/s numbers measure the socket path (frame encode + TCP +
-    # server receive/validate/enqueue), not the text-trace parsing that an
-    # on-line pusher would not be doing per batch.
-    push_batches = list(iterate_stream_file_chunks(path, push_batch))
-
-    # -- served run -------------------------------------------------------------------
-    server = serve(PipelinedExecutor(
-        executor=build_executor(), chunk_size=chunk_size, queue_depth=queue_depth
-    ))
-    try:
-        with ServiceClient(server.endpoint) as client:
-            push_seconds = push_chunks(client, push_batches)
-            finish = client.finish()
-            served = client.query()
-            client.shutdown()
-    finally:
-        server.close()
-    rows.append(
-        make_row(
-            "served", served.report, float(finish["seconds"]), float(finish["space_bits"]),
-            extra={
-                "ingest_seconds": float(finish["ingest_seconds"]),
-                "combine_seconds": float(finish["combine_seconds"]),
-                "push_seconds": push_seconds,
-                "pushed_items_per_second": length / push_seconds if push_seconds else float("inf"),
-                "identical_report": 1.0 if dict(served.report.items) == offline_items else 0.0,
-                "report_symmetric_difference": float(
-                    len(set(served.report.items).symmetric_difference(offline_items))
-                ),
-            },
-        )
-    )
-
-    # -- pipelined-push run -------------------------------------------------------------
-    # Same trace, same seeds, but pushed with a window of un-acked frames in
-    # flight (push_stream); the report must still equal the offline replay bit
-    # for bit — pipelining changes when acks are read, never what the server's
-    # re-chunker sees.  The flushed prefix is then held fixed while repeated
-    # queries measure the snapshot cache: one deepcopy-merge on the first, O(1)
-    # on the rest.
-    server = serve(PipelinedExecutor(
-        executor=build_executor(), chunk_size=chunk_size, queue_depth=queue_depth
-    ))
-    query_latencies: List[float] = []
-    try:
-        with ServiceClient(server.endpoint) as client:
-            client.config()  # prefetch the credit grant outside the timed span
-            push_start = time.perf_counter()
-            client.push_stream(iter(push_batches), window=push_window)
-            pipelined_push_seconds = time.perf_counter() - push_start
-            client.flush()
-            for _ in range(max(1, query_repeats)):
-                query_start = time.perf_counter()
-                client.query()
-                query_latencies.append(time.perf_counter() - query_start)
-            cache_hits = server.pipeline.snapshot_cache_hits
-            cache_misses = server.pipeline.snapshot_cache_misses
-            finish = client.finish()
-            pipelined_served = client.query()
-            client.shutdown()
-    finally:
-        server.close()
-    cached = query_latencies[1:] or query_latencies
-    rows.append(
-        make_row(
-            "pipelined", pipelined_served.report, float(finish["seconds"]),
-            float(finish["space_bits"]),
-            extra={
-                "ingest_seconds": float(finish["ingest_seconds"]),
-                "combine_seconds": float(finish["combine_seconds"]),
-                "push_seconds": pipelined_push_seconds,
-                "pushed_items_per_second": (
-                    length / pipelined_push_seconds if pipelined_push_seconds else float("inf")
-                ),
-                "push_window": float(push_window),
-                "identical_report": (
-                    1.0 if dict(pipelined_served.report.items) == offline_items else 0.0
-                ),
-                "report_symmetric_difference": float(
-                    len(set(pipelined_served.report.items).symmetric_difference(offline_items))
-                ),
-                "query_first_seconds": query_latencies[0],
-                "query_cached_seconds_median": statistics.median(cached),
-                "query_cached_seconds_min": min(cached),
-                "query_cached_seconds_max": max(cached),
-                "query_latency_series": list(query_latencies),  # list on purpose
-                "snapshot_cache_hits": float(cache_hits),
-                "snapshot_cache_misses": float(cache_misses),
-            },
-        )
-    )
-    if not checkpoint:
-        return rows
-
-    # -- checkpoint → restart → resume ------------------------------------------------
-    total_chunks = -(-length // chunk_size)
-    prefix_items = (total_chunks // 2) * chunk_size  # an exact chunk boundary
-    with tempfile.TemporaryDirectory() as tmp:
-        ckpt = os.path.join(tmp, "service.ckpt")
-        server = serve(PipelinedExecutor(
-            executor=build_executor(), chunk_size=chunk_size, queue_depth=queue_depth
-        ))
-        pushed = 0
-        resume_start = time.perf_counter()
-        try:
-            with ServiceClient(server.endpoint) as client:
-                for chunk in iterate_stream_file_chunks(path, chunk_size):
-                    if pushed >= prefix_items:
-                        break
-                    client.push(chunk)
-                    pushed += len(chunk)
-                client.flush()
-                client.checkpoint(ckpt)
-                client.shutdown()
-        finally:
-            server.close()
-        restored, _manifest = Checkpointer().restore_pipeline(ckpt)
-        server = serve(restored)
-        try:
-            with ServiceClient(server.endpoint) as client:
-                skipped = 0
-                for chunk in iterate_stream_file_chunks(path, chunk_size):
-                    if skipped < prefix_items:
-                        skipped += len(chunk)
-                        continue
-                    client.push(chunk)
-                finish = client.finish()
-                resumed = client.query()
-                client.shutdown()
-        finally:
-            server.close()
-        resume_seconds = time.perf_counter() - resume_start
-
-        # Offline replay that round-trips its state through the same Checkpointer
-        # at the same boundary — the reference the resumed run must equal exactly.
-        replay = PipelinedExecutor(executor=build_executor(), chunk_size=chunk_size)
-        tail_chunks: List = []
-        consumed = 0
-        for chunk in iterate_stream_file_chunks(path, chunk_size):
-            if consumed < prefix_items:
-                replay.ingest_chunk(chunk)
-                consumed += len(chunk)
-            else:
-                tail_chunks.append(chunk)
-        ckpt2 = os.path.join(tmp, "offline.ckpt")
-        Checkpointer().save(ckpt2, replay.sink_state())
-        resumed_replay, _ = Checkpointer().restore_pipeline(ckpt2, chunk_size=chunk_size)
-        for chunk in tail_chunks:
-            resumed_replay.ingest_chunk(chunk)
-        replay_result = resumed_replay.finalize(report_kwargs=kwargs)
-    replay_items = dict(replay_result.report.items)
-    rows.append(
-        make_row(
-            "resumed", resumed.report, resume_seconds, float(finish["space_bits"]),
-            extra={
-                "checkpoint_items": float(prefix_items),
-                "identical_report": 1.0 if dict(resumed.report.items) == replay_items else 0.0,
-                "report_symmetric_difference": float(
-                    len(set(resumed.report.items).symmetric_difference(replay_items))
-                ),
-            },
-        )
-    )
-    return rows
-
-
-def run_tenancy_comparison(
-    factory: Callable[[RandomSource], FrequencyEstimator],
-    paths: Sequence[str],
-    phi: float,
-    chunk_size: int = 1 << 16,
-    queue_depth: int = 4,
-    push_batch: Optional[int] = None,
-    max_live_streams: int = 2,
-    seed: int = 0,
-    report_kwargs: Optional[Mapping[str, object]] = None,
-) -> List[ExperimentRow]:
-    """The tenancy-changes-nothing experiment: k evicted streams vs k solo replays.
-
-    One :class:`~repro.service.IngestServer` hosts ``len(paths)`` named streams
-    (``s0``, ``s1``, …), each fed its own trace, with ``max_live_streams`` set
-    *below* the stream count so the LRU checkpoint-eviction path is exercised
-    for real: pushing round-robin forces every stream to be evicted to disk and
-    lazily restored at least once.  The contract under test (see
-    :mod:`repro.service.registry`) is that tenancy reorders *where* a stream's
-    sink lives, never *what* it computes: each stream's served report must be
-    bit-for-bit the report of a solo offline replay of just that stream's trace
-    at the same seed and chunk size.
-
-    ``factory(stream_rng)`` builds one fresh sketch from the stream's own
-    :class:`~repro.primitives.rng.RandomSource`; the server seeds stream
-    ``name`` with ``derive_stream_seed(seed, name)``, and the offline reference
-    reuses the identical seed.  For a **deterministic** sketch the solo replay
-    is the reference outright.  For a **randomized** sketch, eviction's
-    save/restore re-seeds the RNG (the serialize contract in
-    :mod:`repro.primitives.rng`), so the reference replay round-trips its state
-    through the same :class:`~repro.service.Checkpointer` at every recorded
-    eviction boundary (``eviction_boundaries`` from the stream's ``stats``) —
-    after which equality is again exact, not statistical.
-
-    One row per stream comes back, labelled ``stream:<name>``, carrying the
-    usual accuracy/space measurements against that trace's exact frequencies
-    plus ``identical_report`` / ``report_symmetric_difference`` vs the solo
-    replay, and the observed ``evictions`` / ``restores`` counts.
-    """
-    if len(paths) == 0:
-        raise ValueError("run_tenancy_comparison needs at least one trace")
-    if max_live_streams <= 0:
-        raise ValueError("max_live_streams must be positive")
-    kwargs = dict(report_kwargs or {})
-    push_batch = push_batch if push_batch is not None else chunk_size
-    names = [f"s{index}" for index in range(len(paths))]
-    universe = max(stream_file_metadata(path)["universe_size"] for path in paths)
-
-    def stream_sink(name: str) -> PipelinedExecutor:
-        stream_rng = RandomSource(derive_stream_seed(seed, name))
-        return PipelinedExecutor(
-            sketch=factory(stream_rng), chunk_size=chunk_size, queue_depth=queue_depth
-        )
-
-    # The default-stream sink is required by IngestServer but never pushed to.
-    server = IngestServer(
-        stream_sink("default-sink"), port=0, universe_size=universe,
-        report_kwargs=kwargs, stream_factory=stream_sink,
-        max_live_streams=max_live_streams,
-    ).start()
-    served: Dict[str, object] = {}
-    finishes: Dict[str, Dict[str, object]] = {}
-    stats: Dict[str, Dict[str, object]] = {}
-    try:
-        with ServiceClient(server.endpoint) as client:
-            batches = {
-                name: list(iterate_stream_file_chunks(path, push_batch))
-                for name, path in zip(names, paths)
-            }
-            push_start = time.perf_counter()
-            rounds = max(len(stream_batches) for stream_batches in batches.values())
-            for round_index in range(rounds):
-                for name in names:
-                    if round_index < len(batches[name]):
-                        client.push(batches[name][round_index], stream=name)
-            push_seconds = time.perf_counter() - push_start
-            for name in names:
-                finishes[name] = client.finish(stream=name)
-                served[name] = client.query(stream=name)
-                stats[name] = client.stats(stream=name)
-            client.shutdown()
-    finally:
-        server.close()
-
-    rows: List[ExperimentRow] = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, path in zip(names, paths):
-            length = stream_file_metadata(path)["length"]
-            truth = exact_frequencies(iterate_stream_file(path))
-            boundaries = [int(b) for b in stats[name].get("eviction_boundaries", [])]
-
-            # Solo offline replay at the stream's own seed, round-tripping
-            # through the Checkpointer at each recorded eviction boundary so a
-            # randomized sketch's re-seed points line up with the served run.
-            replay = stream_sink(name)
-            pending = list(boundaries)
-
-            def round_trip_due(replay: PipelinedExecutor) -> PipelinedExecutor:
-                while pending and replay.items_processed == pending[0]:
-                    pending.pop(0)
-                    ckpt = os.path.join(tmp, f"replay-{name}.ckpt")
-                    Checkpointer().save(ckpt, replay.sink_state())
-                    replay, _ = Checkpointer().restore_pipeline(
-                        ckpt, chunk_size=chunk_size, queue_depth=queue_depth
-                    )
-                return replay
-
-            for chunk in iterate_stream_file_chunks(path, chunk_size):
-                replay = round_trip_due(replay)
-                replay.ingest_chunk(chunk)
-            replay = round_trip_due(replay)
-            replay_result = replay.finalize(report_kwargs=kwargs)
-            replay_items = dict(replay_result.report.items)
-
-            result = served[name]
-            finish = finishes[name]
-            measurements = _heavy_hitter_measurements(
-                result.report, truth, length,
-                float(finish["seconds"]), float(finish["space_bits"]),
-            )
-            measurements.update(
-                {
-                    "push_seconds": push_seconds,
-                    "identical_report": (
-                        1.0 if dict(result.report.items) == replay_items else 0.0
-                    ),
-                    "report_symmetric_difference": float(
-                        len(set(result.report.items).symmetric_difference(replay_items))
-                    ),
-                    "evictions": float(stats[name].get("evictions", 0)),
-                    "restores": float(stats[name].get("restores", 0)),
-                }
-            )
-            rows.append(
-                ExperimentRow(
-                    label=f"stream:{name}",
-                    parameters={
-                        "stream": os.path.basename(path), "m": length, "n": universe,
-                        "phi": phi, "chunk_size": chunk_size,
-                        "queue_depth": queue_depth, "push_batch": push_batch,
-                        "streams": len(names),
-                        "max_live_streams": max_live_streams,
-                    },
-                    measurements=measurements,
-                )
-            )
-    return rows
 
 
 def run_replication_comparison(

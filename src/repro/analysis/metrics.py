@@ -8,7 +8,7 @@ measurable quantities: recall over the truly ϕ-heavy items, precision against t
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping
 
 from repro.core.results import HeavyHittersReport, ScoreReport
 

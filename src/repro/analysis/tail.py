@@ -16,7 +16,7 @@ bound ``F₁^res(k)/(capacity − k + 1)``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 
 def residual_mass(true_frequencies: Mapping[int, int], k: int) -> int:

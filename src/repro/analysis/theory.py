@@ -17,7 +17,7 @@ the paper states asymptotic bounds), so the meaningful checks are about *shape*:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.lowerbounds.bounds import (
     heavy_hitters_upper_bound_bits,

@@ -7,8 +7,9 @@ acked prefix — newest valid checkpoint plus journal replay past its recorded
 position, torn tail truncated — bit for bit against the offline replay at the
 same chunk boundaries (:mod:`repro.durability.recovery`).  The guarantee is
 enforced, not assumed: the kill -9 chaos sweep in
-:func:`repro.analysis.harness.run_crash_comparison` and the bench's
-``--mode durability`` record ``no_acked_loss`` from live SIGKILLed servers.
+:func:`repro.analysis.harness.run_crash_comparison` records ``no_acked_loss``
+from live SIGKILLed servers, and ``tests/integration/test_crash_recovery.py``
+fails unless every leg holds.
 See docs/DURABILITY.md for the ack contract and the on-disk format.
 """
 

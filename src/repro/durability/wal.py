@@ -53,9 +53,9 @@ Durability policies
 ``fsync='always'`` fsyncs after every append: an acked batch survives power
 loss.  ``'interval:N'`` fsyncs every N appends (and on close/rotation): bounded
 loss window, most of the throughput back.  ``'off'`` never fsyncs explicitly:
-survives process crashes (the page cache persists) but not power loss.  The
-cost of each is measured, not claimed — ``BENCH_durability.json`` records the
-three policies' push throughput side by side.
+survives process crashes (the page cache persists) but not power loss.  No
+policy changes what is replayed; the served cost of ``'always'`` is what the
+``mg-wal-frames`` perfbench workload measures.
 """
 
 from __future__ import annotations

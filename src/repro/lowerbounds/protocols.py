@@ -16,7 +16,7 @@ problem being reduced from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional
 
 
 class StreamingChannel:

@@ -10,8 +10,8 @@ Four pieces, all stdlib-only:
 * :mod:`~repro.observability.metrics` — :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` (log-scaled buckets) behind a process-wide
   :class:`MetricRegistry` with labeled families, idempotent registration, and
-  a near-zero disabled path (one boolean check per record call, measured by
-  ``BENCH_observability.json``);
+  a near-zero disabled path (one boolean check per record call, pinned by
+  the overhead-guard test);
 * :mod:`~repro.observability.tracing` — chunk-level spans
   (``produce`` → ``enqueue`` → ``ingest`` → ``combine`` →
   ``snapshot``/per-command) as a JSONL event log (:class:`Tracer`,

@@ -13,8 +13,7 @@ order:
   attribute first and returns before touching a lock or a dict, so a sketch
   ingesting 50M items/s through a metrics-disabled registry pays a branch per
   *chunk* (not per item — instrumentation lives at chunk/command granularity
-  throughout the repo), which the overhead-guard test and
-  ``BENCH_observability.json`` hold to <5% end to end;
+  throughout the repo), which the overhead-guard test pins;
 * **thread-safe recording** — the ingestion loop, every per-connection handler
   thread, and the replication fan-out all record concurrently; each instrument
   child carries its own small lock, taken only when enabled;
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Version tag carried by every :meth:`MetricRegistry.snapshot`; bump on
 #: incompatible snapshot-shape changes (versioned like the frame protocol).

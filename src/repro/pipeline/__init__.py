@@ -31,9 +31,9 @@ exactly the source's item sequence.  Pipelining therefore changes *when* parsing
 happens, never *what* the sketches see: with the same seeds and the same chunk size,
 a pipelined run is **bit-for-bit identical** to the serial
 :meth:`~repro.sharding.ShardedExecutor.run_chunks` replay of the same source — the
-(ε,ϕ) guarantee of Definition 1 rides along untouched, and
-:func:`repro.analysis.harness.run_pipelined_comparison` measures exactly this
-equality rather than assuming it.
+(ε,ϕ) guarantee of Definition 1 rides along untouched, and the pipeline tests
+(``tests/property/test_property_pipeline.py``) check exactly this equality
+rather than assuming it.
 
 **Failure and shutdown.**  An exception raised while parsing (corrupt trace line,
 failing generator) is captured on the producer thread and re-raised, as itself, from

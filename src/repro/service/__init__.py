@@ -44,8 +44,8 @@ and re-seeded from a survivor, and degraded-window replies carry
 The headline guarantee — **served equals offline** — is measured rather than
 assumed: with identical seeds and chunk size, the report served over the socket is
 bit-for-bit the offline ``run_chunks`` replay of the same items
-(:func:`repro.analysis.harness.run_service_comparison`, ``BENCH_service.json``,
-and the service round-trip tests all assert it).
+(``tests/integration/test_service_round_trip.py`` and CI's served-vs-offline
+``diff`` assert it).
 
 Quickstart (in-process; the CLI equivalents are ``repro serve`` / ``push`` /
 ``query`` / ``checkpoint``)::

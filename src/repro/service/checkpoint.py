@@ -29,7 +29,7 @@ re-seeded sibling (see :mod:`repro.primitives.rng`), so restoring the same
 checkpoint file twice and resuming the same tail produces **identical** final
 reports — and a resumed run equals, bit for bit, an *offline* replay that
 round-trips its state through this same save/load at the same chunk boundary
-(:func:`repro.analysis.harness.run_service_comparison` measures exactly this).
+(``tests/integration/test_service_round_trip.py`` checks exactly this).
 What a resumed randomized sketch does *not* replay is the uninterrupted original's
 future random draws; deterministic sketches (Misra–Gries, Space-Saving, Lossy
 Counting) resume bit-for-bit identical to the uninterrupted run as well.
@@ -77,7 +77,7 @@ class Checkpointer:
     """Serialize and restore a pipelined run's full sketch/shard state.
 
     The server's ``checkpoint`` command, the CLI, and the offline half of the
-    service-equivalence harness all go through this class, so every path that
+    service-equivalence tests all go through this class, so every path that
     claims "same checkpoint semantics" provably shares them.  The only state it
     carries is observability: a :class:`~repro.observability.MetricRegistry`
     recording checkpoint duration, size, and fsync time (``repro_checkpoint_*``

@@ -44,7 +44,10 @@ the journal prefix it covers be deleted, so it is written atomically and
 durably (:meth:`~repro.service.checkpoint.Checkpointer.save`) before the
 journal is compacted.  Either way the bytes are the same checksummed envelope,
 and a load verifies the format tag and the SHA-256 digest.  A failed write
-raises before the sink is dropped, so the stream stays resident.  Because a
+raises before the sink is dropped, so the stream stays resident.  Room is made
+before a stream is admitted (created, restored or recovered), so a failed
+eviction also leaves the incoming stream unregistered or still spilled, and the
+live count never exceeds the cap.  Because a
 :class:`~repro.primitives.rng.RandomSource` serializes as a deterministically
 re-seeded sibling (see :mod:`repro.primitives.rng`), an evict→restore cycle is
 bit-for-bit equivalent to an *offline replay that round-trips its state through
@@ -80,7 +83,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.observability.metrics import MetricRegistry, resolve_registry
-from repro.pipeline import PipelinedExecutor
 from repro.service.checkpoint import Checkpointer, CheckpointError
 
 logger = logging.getLogger("repro.service.registry")
@@ -521,6 +523,7 @@ class StreamRegistry:
         # Spill files are keyed by a digest of the name: stream names are
         # client-chosen and must never become path components.
         digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:16]
+        self._locked_make_room()
         if self._wal_dir is not None:
             state = self._locked_create_journaled(name, digest)
         else:
@@ -528,7 +531,6 @@ class StreamRegistry:
             state = _StreamState(name, self._build_sink(name), spill_path)
         self._streams[name] = state
         self._locked_touch(state)
-        self._locked_evict_to_cap(protect=state)
         self._metric_live.set(len(self._live))
         return state
 
@@ -671,11 +673,11 @@ class StreamRegistry:
             if os.path.exists(os.path.join(stream_dir, _SEALED_RECORD)):
                 self._streams[name] = self._recover_sealed(name, stream_dir)
                 continue
+            self._locked_make_room()
             self._streams[name] = state = self._locked_create_journaled(
                 name, entry[len("stream-"):]
             )
             self._locked_touch(state)
-            self._locked_evict_to_cap(protect=state)
         self._metric_live.set(len(self._live))
 
     def _locked_touch(self, state: _StreamState) -> None:
@@ -684,8 +686,9 @@ class StreamRegistry:
         self._live.move_to_end(state.name)
 
     def _locked_ensure_live(self, state: _StreamState) -> None:
-        """Restore an unsealed stream's spilled sink if needed, update LRU, enforce the cap."""
+        """Restore an unsealed stream's spilled sink if needed and mark it most recently used."""
         if state.sink is None:
+            self._locked_make_room()
             sink, _ = self._checkpointer.restore(
                 state.spill_path,
                 chunk_size=self._chunk_size,
@@ -697,19 +700,20 @@ class StreamRegistry:
             state.restores += 1
             self._metric_restores.labels(stream=state.name).inc()
         self._locked_touch(state)
-        self._locked_evict_to_cap(protect=state)
         self._metric_live.set(len(self._live))
 
-    def _locked_evict_to_cap(self, protect: _StreamState) -> None:
+    def _locked_make_room(self) -> None:
+        """Evict least-recently-used streams until one more resident sink fits the cap.
+
+        Called before a stream is admitted, so an eviction that raises leaves
+        the incoming stream unregistered (or still spilled) and the live count
+        within the cap.
+        """
         if self._max_live is None:
             return
-        while len(self._live) > self._max_live:
-            victim = next(
-                (state for state in self._live.values() if state is not protect), None
-            )
-            if victim is None:
-                return  # only the protected stream is live; nothing to evict
-            self._locked_evict(victim)
+        while len(self._live) >= self._max_live:
+            self._locked_evict(next(iter(self._live.values())))
+            self._metric_live.set(len(self._live))
 
     def _locked_evict(self, state: _StreamState) -> None:
         sink_state = state.sink.sink_state()

@@ -18,8 +18,7 @@ The server re-chunks pushed batches to exact ``chunk_size`` boundaries
 chunk sequence an offline ``run_chunks`` replay of the concatenated pushes would
 see.  With identical seeds and chunk size, the final served report is therefore
 **bit-for-bit identical** to the offline replay — measured, not assumed, by
-:func:`repro.analysis.harness.run_service_comparison` and the service round-trip
-tests.  The guarantee is stated for a single pusher (or externally ordered
+the service round-trip tests.  The guarantee is stated for a single pusher (or externally ordered
 pushes): concurrent pushers interleave batches nondeterministically, which keeps
 the (ε,ϕ) guarantee but not bit-for-bit replayability.
 

@@ -28,9 +28,9 @@ deterministic additive bound for the concatenated stream; linear sketches merge
 bit-for-bit exactly; the sampled/accelerated algorithms keep the (ε,ϕ) guarantee with
 the same confidence parameter, because sampling rates are global (shards are built
 with the full stream length) and per-bucket estimators are additive in expectation.
-The combine step is not assumed correct — it has its own accuracy experiment
-(:func:`repro.analysis.harness.run_sharded_comparison`) comparing sharded against
-single-instance recall/precision on the same stream.
+The combine step is not assumed correct — the merge property tests
+(``tests/property/test_property_merge.py``) compare sharded against
+single-instance reports on the same stream.
 
 Determinism: each shard owns its randomness (seed the factory per shard index), so
 serial sharded runs are reproducible bit for bit; the parallel driver is reproducible

@@ -28,9 +28,9 @@ also reproducible run-to-run, but does not replay the serial driver bit for bit:
 :class:`~repro.primitives.rng.RandomSource` re-seeds (deterministically) when it
 crosses a process boundary — see the pickling note in :mod:`repro.primitives.rng`.
 Sharded runs never replay a *single-instance* run bit for bit in any mode; the
-accuracy experiment in :func:`repro.analysis.harness.run_sharded_comparison` exists to
-check that their reports agree within the (ε,ϕ) guarantee, which is the equivalence
-the mergeability analysis actually promises.
+merge property tests (``tests/property/test_property_merge.py``) check that their
+reports agree within the (ε,ϕ) guarantee, which is the equivalence the
+mergeability analysis actually promises.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ The ranking-based benchmarks need elections with known structure:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.primitives.rng import RandomSource
 from repro.voting.rankings import Ranking

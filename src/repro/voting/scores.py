@@ -14,7 +14,7 @@ These are the ground-truth oracles for the ranking-based problems:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.voting.rankings import Ranking
 

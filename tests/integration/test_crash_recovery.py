@@ -10,7 +10,6 @@ is bit-for-bit an uninterrupted replay of the same prefix.
 
 import os
 import signal
-import time
 
 import numpy as np
 import pytest

@@ -2,9 +2,10 @@
 
 These are the acceptance tests of the service layer's headline guarantees (see
 repro/service/__init__.py): with identical seeds and chunk size, the report served
-over a real socket equals the offline ``run_chunks`` replay bit for bit, and a
-checkpoint → restart → resume run equals the offline replay that round-trips its
-state through the same Checkpointer at the same chunk boundary.
+over a real socket — pushed one round trip per batch or through a credit window —
+equals the offline ``run_chunks`` replay bit for bit, and a checkpoint → restart →
+resume run equals the offline replay that round-trips its state through the same
+Checkpointer at the same chunk boundary.
 """
 
 import os
@@ -15,7 +16,6 @@ import pytest
 from repro.baselines.misra_gries import MisraGries
 from repro.cli import main
 from repro.core.heavy_hitters_simple import SimpleListHeavyHitters
-from repro.analysis.harness import run_service_comparison
 from repro.pipeline import PipelinedExecutor
 from repro.primitives.batching import iter_chunks
 from repro.primitives.rng import RandomSource
@@ -23,6 +23,7 @@ from repro.service import Checkpointer, ServiceClient
 from repro.sharding import ShardedExecutor
 from repro.streams.generators import zipfian_stream
 from repro.streams.io import save_stream
+from repro.streams.truth import exact_frequencies
 
 UNIVERSE = 2_000
 LENGTH = 40_000
@@ -49,7 +50,7 @@ def stream():
     return zipfian_stream(LENGTH, UNIVERSE, skew=1.2, rng=RandomSource(6))
 
 
-@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("shards", [1, 3, 4])
 def test_served_equals_offline_bit_for_bit(stream, shards, service_server):
     offline = build_executor(shards).run_chunks(iter_chunks(stream.array, CHUNK))
     server = service_server(
@@ -64,6 +65,7 @@ def test_served_equals_offline_bit_for_bit(stream, shards, service_server):
         served = client.query()
     assert served.items_processed == offline.items_processed == LENGTH
     assert dict(served.report.items) == dict(offline.report.items)
+    assert served.report.contains_all_heavy(exact_frequencies(stream))
 
 
 def test_served_equals_offline_misra_gries(stream, service_server):
@@ -84,7 +86,7 @@ def test_served_equals_offline_misra_gries(stream, service_server):
     assert dict(served.report.items) == dict(offline_report.items)
 
 
-@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("shards", [1, 3, 4])
 def test_checkpoint_restart_resume_bit_for_bit(stream, shards, tmp_path, service_server):
     """Resume == offline replay that round-trips state at the same boundary."""
     half = (LENGTH // (2 * CHUNK)) * CHUNK
@@ -159,40 +161,16 @@ def test_deterministic_sketch_resumes_identical_to_uninterrupted(stream, tmp_pat
     assert dict(result.report.items) == dict(expected.items)
 
 
-def test_run_service_comparison_rows(stream, tmp_path):
-    path = os.path.join(tmp_path, "trace.txt")
-    save_stream(stream, path)
-    rows = run_service_comparison(
-        sketch_factory, path, 0.05, shards=2, chunk_size=CHUNK,
-        push_batch=1_500, rng=RandomSource(13), push_window=8, query_repeats=4,
-    )
-    assert [row.label for row in rows] == ["offline", "served", "pipelined", "resumed"]
-    served, pipelined, resumed = rows[1], rows[2], rows[3]
-    assert served.measurements["identical_report"] == 1.0
-    assert served.measurements["report_symmetric_difference"] == 0.0
-    assert served.measurements["pushed_items_per_second"] > 0
-    # the credit-windowed push must be as invisible in the report as the
-    # round-trip push: same seeds, same re-chunker, bit-for-bit equal
-    assert pipelined.measurements["identical_report"] == 1.0
-    assert pipelined.measurements["report_symmetric_difference"] == 0.0
-    assert pipelined.measurements["pushed_items_per_second"] > 0
-    # the repeated mid-ingest queries at a fixed prefix must hit the snapshot
-    # cache: one miss (the first query builds the merged copy), hits afterwards
-    assert pipelined.measurements["snapshot_cache_misses"] == 1.0
-    assert pipelined.measurements["snapshot_cache_hits"] >= 3.0
-    assert len(pipelined.measurements["query_latency_series"]) == 4
-    assert pipelined.measurements["query_cached_seconds_median"] > 0
-    assert resumed.measurements["identical_report"] == 1.0
-    assert resumed.measurements["checkpoint_items"] % CHUNK == 0
-    for row in rows:
-        assert row.measurements["recall"] == 1.0
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_push_stream_served_equals_offline(stream, shards, service_server):
+    """push_stream with a deep window reproduces the offline replay bit for bit.
 
-
-def test_push_stream_served_equals_offline(stream, service_server):
-    """push_stream with a deep window reproduces the offline replay bit for bit."""
-    offline = build_executor(2).run_chunks(iter_chunks(stream.array, CHUNK))
+    Between the pushes and ``finish``, repeated queries at the flushed prefix
+    must build the merged snapshot once and answer the rest from the cache.
+    """
+    offline = build_executor(shards).run_chunks(iter_chunks(stream.array, CHUNK))
     server = service_server(
-        PipelinedExecutor(executor=build_executor(2), chunk_size=CHUNK),
+        PipelinedExecutor(executor=build_executor(shards), chunk_size=CHUNK),
         universe_size=UNIVERSE, push_queue_depth=16,
     )
     with ServiceClient(server.endpoint) as client:
@@ -200,6 +178,11 @@ def test_push_stream_served_equals_offline(stream, service_server):
                    for start in range(0, LENGTH, 1_111))
         received = client.push_stream(batches, window=64)  # capped to 16 credits
         assert received == LENGTH
+        client.flush()
+        for _ in range(4):
+            client.query()
+        assert server.pipeline.snapshot_cache_misses == 1
+        assert server.pipeline.snapshot_cache_hits >= 3
         client.finish()
         served = client.query()
     assert served.items_processed == offline.items_processed == LENGTH

@@ -279,11 +279,16 @@ def test_recover_fresh_directory(tmp_path):
     recovered.wal.close()
 
 
-def test_recover_from_wal_matches_plain_replay(tmp_path):
+@pytest.mark.parametrize("fsync", ["off", "interval:8", "always"])
+def test_recover_from_wal_matches_plain_replay(tmp_path, fsync):
+    """Journaling under any fsync policy leaves the live and recovered reports unchanged."""
     items = make_items(3 * CHUNK + 100)
-    with WriteAheadLog(str(tmp_path / "wal"), fsync="off") as wal:
+    journaled = PipelinedExecutor(sketch=make_sketch(), chunk_size=CHUNK)
+    with WriteAheadLog(str(tmp_path / "wal"), fsync=fsync) as wal:
         for offset in range(0, items.size, 300):
             wal.append(items[offset:offset + 300])
+        for offset in range(0, 3 * CHUNK, CHUNK):
+            journaled.ingest_chunk(items[offset:offset + CHUNK])
 
     recovered = recover_sink(
         str(tmp_path / "wal"), lambda: PipelinedExecutor(
@@ -299,8 +304,9 @@ def test_recover_from_wal_matches_plain_replay(tmp_path):
     reference = PipelinedExecutor(sketch=make_sketch(), chunk_size=CHUNK)
     for offset in range(0, 3 * CHUNK, CHUNK):
         reference.ingest_chunk(items[offset:offset + CHUNK])
-    assert (dict(recovered.sink.snapshot().report.items)
-            == dict(reference.snapshot().report.items))
+    expected = dict(reference.snapshot().report.items)
+    assert dict(journaled.snapshot().report.items) == expected
+    assert dict(recovered.sink.snapshot().report.items) == expected
 
 
 def test_recover_checkpoint_plus_wal(tmp_path):

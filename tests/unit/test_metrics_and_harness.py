@@ -7,8 +7,6 @@ from repro.analysis.harness import (
     format_table,
     run_algorithm_on_stream,
     run_heavy_hitter_comparison,
-    run_pipelined_comparison,
-    run_sharded_comparison,
     run_space_scaling_experiment,
 )
 from repro.analysis.metrics import (
@@ -102,83 +100,6 @@ class TestHarness:
         assert row.label == "misra-gries"
         assert row.measurements["recall"] == 1.0
         assert row.parameters["m"] == 5000
-
-    def test_run_sharded_comparison(self):
-        stream = planted_heavy_hitters_stream(
-            20_000, 500, {1: 0.3, 2: 0.1}, rng=RandomSource(4)
-        )
-        rng = RandomSource(5)
-        rows = run_sharded_comparison(
-            factory=lambda instance: MisraGries(epsilon=0.02, universe_size=500),
-            stream=stream,
-            phi=0.08,
-            shard_counts=(2, 4),
-            rng=rng,
-            report_kwargs={"phi": 0.08},
-        )
-        assert [row.label for row in rows] == ["single", "sharded(k=2)", "sharded(k=4)"]
-        for row in rows:
-            # The combine-phase accuracy check: every run, sharded or not, keeps the
-            # (eps, phi) guarantee on this planted stream.
-            assert row.measurements["recall"] == 1.0
-            assert row.measurements["precision"] == 1.0
-            assert row.measurements["satisfies_definition"] == 1.0
-        assert rows[1].measurements["report_symmetric_difference"] == 0.0
-        assert rows[1].parameters["shards"] == 2
-        # k sharded tables cost more bits than one.
-        assert rows[2].measurements["space_bits"] > rows[0].measurements["space_bits"]
-
-    def test_run_sharded_comparison_records_timing_split(self):
-        stream = planted_heavy_hitters_stream(
-            5_000, 200, {1: 0.3}, rng=RandomSource(14)
-        )
-        rows = run_sharded_comparison(
-            factory=lambda instance: MisraGries(epsilon=0.02, universe_size=200),
-            stream=stream,
-            phi=0.1,
-            shard_counts=(2,),
-            rng=RandomSource(15),
-            report_kwargs={"phi": 0.1},
-        )
-        for row in rows:
-            assert row.measurements["ingest_seconds"] >= 0.0
-            assert row.measurements["combine_seconds"] >= 0.0
-            assert row.measurements["total_seconds"] == pytest.approx(
-                row.measurements["ingest_seconds"] + row.measurements["combine_seconds"]
-            )
-
-    def test_run_pipelined_comparison(self, tmp_path):
-        import os
-
-        from repro.streams.io import save_stream
-
-        stream = planted_heavy_hitters_stream(
-            20_000, 500, {1: 0.3, 2: 0.1}, rng=RandomSource(6)
-        )
-        path = os.path.join(tmp_path, "trace.txt")
-        save_stream(stream, path)
-        rows = run_pipelined_comparison(
-            factory=lambda instance: MisraGries(epsilon=0.02, universe_size=500),
-            path=path,
-            phi=0.08,
-            shards=2,
-            chunk_size=1024,
-            queue_depth=3,
-            rng=RandomSource(7),
-            report_kwargs={"phi": 0.08},
-        )
-        assert [row.label for row in rows] == ["serial", "pipelined"]
-        # The pipeline contract: bit-for-bit the same report as the serial replay.
-        assert rows[1].measurements["identical_report"] == 1.0
-        assert rows[1].measurements["report_symmetric_difference"] == 0.0
-        for row in rows:
-            assert row.measurements["recall"] == 1.0
-            assert row.measurements["satisfies_definition"] == 1.0
-            assert row.measurements["total_seconds"] == pytest.approx(
-                row.measurements["ingest_seconds"] + row.measurements["combine_seconds"]
-            )
-            assert row.parameters["shards"] == 2
-            assert row.parameters["queue_depth"] == 3
 
     def test_run_space_scaling_experiment(self):
         grid = [{"epsilon": 0.1}, {"epsilon": 0.05}]

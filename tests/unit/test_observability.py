@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.misra_gries import MisraGries
+from repro.core.heavy_hitters_optimal import OptimalListHeavyHitters
 from repro.observability import (
     JsonLogFormatter,
     MetricsHTTPServer,
@@ -36,7 +37,9 @@ from repro.observability import (
 from repro.observability.metrics import METRICS_SCHEMA_VERSION, MetricRegistry
 from repro.observability.tracing import NULL_TRACER
 from repro.pipeline import ArrayBatchSource, PipelinedExecutor
+from repro.primitives.rng import RandomSource
 from repro.service import IngestServer, STATS_SCHEMA_VERSION, ServiceClient
+from repro.streams.generators import zipfian_stream
 
 
 # -- registry semantics -----------------------------------------------------------------
@@ -321,6 +324,33 @@ def test_metrics_command_round_trip_matches_sidecar():
     assert stats["stats_schema"] == STATS_SCHEMA_VERSION
     assert "degraded" in stats
     assert stats["pipeline"]["chunk_size"] == 64
+
+
+def test_metrics_on_and_off_serve_the_same_report(service_server):
+    """Instrumentation never perturbs ingestion: the served report is bit-for-bit equal."""
+    universe, length, chunk = 1 << 10, 30_000, 2048
+    items = zipfian_stream(length, universe, skew=1.2, rng=RandomSource(8)).array
+    reports = {}
+    for enabled in (False, True):
+        registry = MetricRegistry(enabled=enabled)
+        sketch = OptimalListHeavyHitters(
+            epsilon=0.02, phi=0.05, universe_size=universe, stream_length=length,
+            rng=RandomSource(40),
+        )
+        server = service_server(
+            PipelinedExecutor(sketch=sketch, chunk_size=chunk, registry=registry),
+            universe_size=universe, registry=registry,
+        )
+        with ServiceClient(server.endpoint) as client:
+            client.push_stream(
+                (items[start:start + 1000] for start in range(0, length, 1000)), window=8
+            )
+            client.finish()
+            reports[enabled] = dict(client.query().report.items)
+        chunks = registry.snapshot()["metrics"]["repro_pipeline_chunks_total"]
+        assert (chunks["series"][0]["value"] > 0) is enabled
+    assert reports[True] == reports[False]
+    assert reports[True]
 
 
 # -- logging ----------------------------------------------------------------------------

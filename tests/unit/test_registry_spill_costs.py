@@ -228,3 +228,61 @@ def test_failed_spill_write_keeps_the_stream_resident(tmp_path, monkeypatch, wal
         assert snapshot.items_processed == 2 * CHUNK
     finally:
         registry.close()
+
+
+@pytest.mark.parametrize("wal", [False, True], ids=["spill", "journaled"])
+@pytest.mark.parametrize("admit", ["create", "restore"])
+def test_failed_eviction_admits_nothing(tmp_path, monkeypatch, admit, wal):
+    """Room is made before a stream is admitted, so a failed eviction changes nothing.
+
+    ``create`` pushes to a new stream at the cap; ``restore`` pushes to a
+    spilled one.  Either way the eviction the push needs raises, and the
+    registry must stay within its cap with the incoming stream unregistered or
+    still spilled.  The retry then evicts the same victim, once.
+    """
+    registry = make_registry(tmp_path, max_live=1, wal=wal)
+    acked = {"a": 2 * CHUNK}
+    try:
+        registry.push("a", items(2 * CHUNK))
+        if admit == "restore":
+            registry.push("b", items(CHUNK, offset=5))  # evicts "a"
+            acked["b"] = CHUNK
+        incoming, resident = ("b", "a") if admit == "create" else ("a", "b")
+        before = {info["stream"]: info for info in registry.list_streams()}
+
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Checkpointer, "save" if wal else "save_in_place", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            registry.push(incoming, items(CHUNK, offset=9))
+        monkeypatch.undo()
+
+        assert registry.live_count <= registry.max_live_streams
+        after = {info["stream"]: info for info in registry.list_streams()}
+        assert after == before
+        if admit == "create":
+            assert incoming not in after
+        else:
+            assert after[incoming]["spilled"] is True
+        assert after[resident]["live"] is True
+
+        registry.push(incoming, items(CHUNK, offset=9))
+        acked[incoming] = acked.get(incoming, 0) + CHUNK
+        assert registry.live_count == 1
+        assert registry.stream_info(resident)["evictions"] == 1
+        assert registry.stream_info(resident)["spilled"] is True
+        assert registry.stream_info(incoming)["live"] is True
+        for name, count in acked.items():
+            assert registry.items_received(name) == count
+            _, snapshot = registry.query(name)
+            assert snapshot.items_processed == count
+    finally:
+        registry.close()
+    if wal:
+        reopened = make_registry(tmp_path, max_live=2, wal=True)
+        try:
+            for name, count in acked.items():
+                assert reopened.items_received(name) == count
+        finally:
+            reopened.close()
